@@ -21,14 +21,18 @@ Element 0 is always stored at index 0; the unit index is declared.
 
 Models are immutable and hashable; every operation in this module is a
 pure function of its inputs, so models can be shared across threads.
+Derived facts (validation report, order, classification, ...) are
+memoised on the model object by ``per_model`` and live as long as it does.
+The memo is write-once and takes no part in equality, hashing or repr, so
+an analysed model still pickles, and compares and hashes like a fresh one;
+``dataclasses.replace`` and the other copying constructors start empty.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from functools import wraps
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
 # A finite multiset of elements: mapping element -> multiplicity >= 1
@@ -75,6 +79,7 @@ class FiniteEffectAlgebra:
     table: tuple[int | None, ...]
     labels: tuple[str, ...] = field(default=(), compare=False)
     name: str = field(default="", compare=False)
+    _memo: dict[str, Any] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.size
@@ -152,12 +157,24 @@ class FiniteEffectAlgebra:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
 
-    def label_list(self) -> list[str]:
-        return [self.label(i) for i in range(self.size)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.name!r}" if self.name else ""
         return f"<FiniteEffectAlgebra{tag} size={self.size} one={self.one}>"
+
+
+def per_model(fn: Callable[[FiniteEffectAlgebra], Any]) -> Callable[[FiniteEffectAlgebra], Any]:
+    """Memoise a one-argument fact of a model on the model object itself."""
+    key = fn.__name__  # a string, not fn, so a model with a filled memo still pickles
+
+    @wraps(fn)
+    def memoised(alg: FiniteEffectAlgebra) -> Any:
+        try:
+            return alg._memo[key]
+        except KeyError:
+            # setdefault keeps the first value if two threads race
+            return alg._memo.setdefault(key, fn(alg))
+
+    return memoised
 
 
 @dataclass(frozen=True)
@@ -176,7 +193,7 @@ class ValidationReport:
         return {v.axiom for v in self.violations}
 
 
-@lru_cache(maxsize=256)
+@per_model
 def validate(alg: FiniteEffectAlgebra) -> ValidationReport:
     """Check A2, A3 and A4 and report every violation found.
 
@@ -275,7 +292,7 @@ class OrderRelation:
         return _bits(self.down[a])
 
 
-@lru_cache(maxsize=256)
+@per_model
 def derive_order(alg: FiniteEffectAlgebra) -> OrderRelation:
     """Derive <=, the orthosupplement map and the partial difference.
 
@@ -425,6 +442,3 @@ def infimum(alg: FiniteEffectAlgebra, elems: Iterable[int]) -> int | None:
         if not lb & ~order.down[b]:
             best = b
     return best
-
-
-ISOTROPIC_INFINITY = math.inf

@@ -19,13 +19,12 @@ File format (``.efa``): UTF-8 text, full-line ``#`` comments, exactly one
 lines, and ``sum: a b c`` lines meaning a + b = c.  Zero is implicit at
 index 0.  ``a + 0 = a`` entries may be omitted; the loader inserts them.
 Either orientation of a pair is accepted; conflicting entries are parse
-errors.
+errors, and so is a carrier of more than ``EFA_MAX_ELEMENTS`` elements.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import replace
 from typing import IO
 
 from .core import FiniteEffectAlgebra, require_valid
@@ -35,6 +34,8 @@ _POINT_NAMES = "abcdefghij"
 BOOLEAN_MAX_POINTS = 10
 EVEN_SUBSET_MAX_POINTS = 10
 CHAIN_MAX = 64
+# Largest .efa carrier (the biggest built-in model), checked before allocating.
+EFA_MAX_ELEMENTS = 1 << BOOLEAN_MAX_POINTS
 
 
 class EfaParseError(ValueError):
@@ -241,6 +242,8 @@ def _parse(fh: IO[str], name: str) -> FiniteEffectAlgebra:
             size = _int_field(rest, "elements", ln)
             if size < 2:
                 fail("need at least 2 elements", ln)
+            if size > EFA_MAX_ELEMENTS:
+                fail(f"at most {EFA_MAX_ELEMENTS} elements are supported, got {size}", ln)
         elif key == "one":
             if one is not None:
                 fail("duplicate 'one' header", ln)
@@ -297,7 +300,3 @@ def _int_field(text: str, what: str, ln: int) -> int:
         return int(text)
     except ValueError:
         raise EfaParseError(f"'{what}' needs an integer, got {text!r}", ln) from None
-
-
-def renamed(alg: FiniteEffectAlgebra, name: str) -> FiniteEffectAlgebra:
-    return replace(alg, name=name)

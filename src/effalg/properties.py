@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Mapping
 
 from .core import (
@@ -34,6 +33,8 @@ from .core import (
     _bits,
     derive_order,
     infimum,
+    minimal_upper_bounds,
+    per_model,
     require_valid,
     supremum,
 )
@@ -54,12 +55,13 @@ class Decision:
 class Classification:
     orthoalgebra: bool
     omp: bool
+    omp_by_joins: bool
     lattice: bool
     oml: bool
     witnesses: Mapping[str, Any]
 
 
-@lru_cache(maxsize=256)
+@per_model
 def atoms(alg: FiniteEffectAlgebra) -> tuple[int, ...]:
     """Minimal nonzero elements, ascending."""
     order = derive_order(alg)
@@ -83,16 +85,21 @@ def is_principal(alg: FiniteEffectAlgebra, a: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=256)
+@per_model
+def pair_joins(alg: FiniteEffectAlgebra) -> tuple[int | None, ...]:
+    """The supremum of {a, b} for every defined pair, in ``defined_pairs`` order."""
+    return tuple(supremum(alg, (a, b)) for a, b, _ in alg.defined_pairs())
+
+
+@per_model
 def classify(alg: FiniteEffectAlgebra) -> Classification:
     """Orthoalgebra / orthomodular poset / lattice / orthomodular lattice.
 
-    The OMP verdict is computed twice, from principality and from
-    "a + b is the join of every orthogonal pair"; the two routes are
-    theorems of each other, so a disagreement raises.
+    The OMP verdict is computed twice, from principality (``omp``) and from
+    "a + b is the join of every orthogonal pair" (``omp_by_joins``); the
+    routes are theorems of each other, so ``profile`` raises if they differ.
     """
     require_valid(alg)
-    order = derive_order(alg)
     n = alg.size
     witnesses: dict[str, Any] = {}
 
@@ -110,27 +117,18 @@ def classify(alg: FiniteEffectAlgebra) -> Classification:
             witnesses["omp"] = a
             break
 
-    omp_by_joins = True
-    for a, b, c in alg.defined_pairs():
-        if supremum(alg, (a, b)) != c:
-            omp_by_joins = False
-            break
-    if omp != omp_by_joins:
-        raise InvariantViolation(
-            f"OMP routes disagree on {alg.name or 'model'}: "
-            f"principality={omp}, join-of-orthogonal-pairs={omp_by_joins}")
+    omp_by_joins = all(
+        join == c for (_, _, c), join in zip(alg.defined_pairs(), pair_joins(alg)))
 
     lattice = True
     for a in range(n):
         for b in range(a + 1, n):
             if supremum(alg, (a, b)) is None:
                 lattice = False
-                ub = order.up[a] & order.up[b]
                 witnesses["lattice"] = {
                     "kind": "no_supremum",
                     "pair": (a, b),
-                    "minimal_upper_bounds": sorted(
-                        m for m in _bits(ub) if _is_minimal_in(order, m, ub)),
+                    "minimal_upper_bounds": sorted(minimal_upper_bounds(alg, (a, b))),
                 }
                 break
             if infimum(alg, (a, b)) is None:
@@ -140,11 +138,7 @@ def classify(alg: FiniteEffectAlgebra) -> Classification:
         if not lattice:
             break
 
-    return Classification(orthoalgebra, omp, lattice, omp and lattice, witnesses)
-
-
-def _is_minimal_in(order, m: int, mask: int) -> bool:
-    return bool(mask >> m & 1) and order.down[m] & mask == 1 << m
+    return Classification(orthoalgebra, omp, omp_by_joins, lattice, omp and lattice, witnesses)
 
 
 def isotropic_index(alg: FiniteEffectAlgebra, a: int) -> int | float:
@@ -166,9 +160,15 @@ def isotropic_index(alg: FiniteEffectAlgebra, a: int) -> int | float:
             raise InvariantViolation(f"unbounded isotropic chain at element {alg.label(a)}")
 
 
+@per_model
+def isotropic_indices(alg: FiniteEffectAlgebra) -> tuple[int | float, ...]:
+    """``isotropic_index`` of every element, by element index."""
+    return tuple(isotropic_index(alg, a) for a in range(alg.size))
+
+
 def is_archimedean(alg: FiniteEffectAlgebra) -> bool:
     """Every nonzero element has a finite isotropic index (runs the real scan)."""
-    return all(isotropic_index(alg, a) != math.inf for a in range(1, alg.size))
+    return all(k != math.inf for k in isotropic_indices(alg)[1:])
 
 
 def is_atomic(alg: FiniteEffectAlgebra) -> bool:
@@ -181,6 +181,7 @@ def is_atomic(alg: FiniteEffectAlgebra) -> bool:
     return all(order.down[a] & atom_mask for a in range(1, alg.size))
 
 
+@per_model
 def is_atomistic(alg: FiniteEffectAlgebra) -> Decision:
     """Every nonzero element is the supremum of the atoms below it."""
     for a in range(1, alg.size):
@@ -189,7 +190,7 @@ def is_atomistic(alg: FiniteEffectAlgebra) -> Decision:
     return Decision(True)
 
 
-@lru_cache(maxsize=256)
+@per_model
 def _atom_reach(alg: FiniteEffectAlgebra) -> tuple[int, dict[int, tuple[int, int]]]:
     """Closure of {0} under x -> x + atom, with parent links for backtracking.
 
@@ -197,7 +198,6 @@ def _atom_reach(alg: FiniteEffectAlgebra) -> tuple[int, dict[int, tuple[int, int
     lies in this closure: a defined total forces every sub-sum to be
     defined, so growing one atom at a time loses nothing.
     """
-    require_valid(alg)
     ats = atoms(alg)
     parent: dict[int, tuple[int, int]] = {}
     reached = 1  # {0}
@@ -227,6 +227,7 @@ def atom_decomposition(alg: FiniteEffectAlgebra, a: int) -> tuple[int, ...] | No
     return tuple(sorted(out))
 
 
+@per_model
 def is_orthoatomistic(alg: FiniteEffectAlgebra) -> Decision:
     """Every nonzero element is a sum of an orthogonal multiset of atoms.
 
@@ -244,7 +245,6 @@ def is_orthoatomistic_sets(alg: FiniteEffectAlgebra) -> bool:
 
     Supplementary flag only; the headline decider is ``is_orthoatomistic``.
     """
-    require_valid(alg)
     order = derive_order(alg)
     ats = atoms(alg)
 
@@ -272,6 +272,7 @@ def is_orthoatomistic_sets(alg: FiniteEffectAlgebra) -> bool:
     return all(reachable(a) for a in range(1, alg.size))
 
 
+@per_model
 def is_disjunctive(alg: FiniteEffectAlgebra) -> Decision:
     """Whenever a is not below b, some nonzero c <= a meets b only in 0."""
     order = derive_order(alg)
@@ -292,7 +293,7 @@ class OrthoScan:
     systems_checked: int
 
 
-@lru_cache(maxsize=256)
+@per_model
 def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
     """Enumerate every orthogonal multiset and run both completeness checks.
 
@@ -308,7 +309,6 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
     long as there is no minimal upper bound either.  Both are theorems on
     finite models, but the checks are performed for real here.
     """
-    require_valid(alg)
     order = derive_order(alg)
     n = alg.size
     full = (1 << n) - 1
@@ -407,7 +407,6 @@ class PropertyProfile:
 
 def profile(alg: FiniteEffectAlgebra) -> PropertyProfile:
     """Run every decider once and enforce the cross-property theorems."""
-    require_valid(alg)
     cls = classify(alg)
     archimedean = is_archimedean(alg)
     oc = is_orthocomplete(alg)
@@ -459,7 +458,9 @@ def _enforce_profile_invariants(alg: FiniteEffectAlgebra, p: PropertyProfile) ->
     check(not p.omp or p.orthoalgebra, "every orthomodular poset is an orthoalgebra")
     check(not (p.omp and p.orthoatomistic) or p.atomistic,
           "an orthoatomistic orthomodular poset is atomistic")
-    indices_one = all(isotropic_index(alg, a) == 1 for a in range(1, alg.size))
+    check(p.omp == classify(alg).omp_by_joins,
+          "all elements principal iff ⊕ is the join of every orthogonal pair")
+    indices_one = all(k == 1 for k in isotropic_indices(alg)[1:])
     check(p.orthoalgebra == indices_one,
           "orthoalgebra iff every nonzero isotropic index is 1")
     check(p.atomistic == (p.atomic and p.disjunctive),

@@ -15,18 +15,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .core import FiniteEffectAlgebra, derive_order, require_valid, supremum
+from .core import FiniteEffectAlgebra, derive_order
 from .enumeration import canonical_form, enumerate_up_to_iso
 from .properties import (
+    classify,
     is_archimedean,
     is_atomic,
     is_atomistic,
     is_disjunctive,
     is_orthoatomistic,
     is_orthocomplete,
-    is_principal,
     is_weakly_orthocomplete,
-    isotropic_index,
+    isotropic_indices,
+    pair_joins,
 )
 
 PASS, FAIL, VACUOUS = "pass", "fail", "vacuous"
@@ -93,9 +94,9 @@ def _biconditional(lhs: bool, rhs: bool, witness: Any) -> CheckResult:
 
 
 def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
-    """Evaluate every check on one valid model."""
-    require_valid(alg)
+    """Evaluate every check on one valid model, reading facts ``classify`` derived."""
     order = derive_order(alg)
+    cls = classify(alg)
     n = alg.size
     lab = alg.label
     results: dict[str, CheckResult] = {}
@@ -116,41 +117,33 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
     results["cancellation"] = cancel or CheckResult(PASS)
 
     sup_le: CheckResult | None = None
-    for a, b, c in alg.defined_pairs():
-        s = supremum(alg, (a, b))
+    for (a, b, c), s in zip(alg.defined_pairs(), pair_joins(alg)):
         if s is not None and not order.le(s, c):
             sup_le = CheckResult(FAIL, {"a": lab(a), "b": lab(b), "sup": lab(s), "oplus": lab(c)})
             break
     results["sup_le_oplus"] = sup_le or CheckResult(PASS)
 
-    principal_all = all(is_principal(alg, a) for a in range(n))
-    join_all = all(supremum(alg, (a, b)) == c for a, b, c in alg.defined_pairs())
     results["omp_iff_principal_iff_join"] = _biconditional(
-        principal_all, join_all,
-        {"all_principal": principal_all, "oplus_is_join": join_all})
-    omp = principal_all
+        cls.omp, cls.omp_by_joins, {"all_principal": cls.omp, "oplus_is_join": cls.omp_by_joins})
 
-    orthoalgebra = all(not alg.defined(a, a) for a in range(1, n))
-    index_one = all(isotropic_index(alg, a) == 1 for a in range(1, n))
+    index_one = all(k == 1 for k in isotropic_indices(alg)[1:])
     results["orthoalgebra_iff_index1"] = _biconditional(
-        orthoalgebra, index_one,
-        {"orthoalgebra": orthoalgebra, "all_indices_one": index_one})
+        cls.orthoalgebra, index_one,
+        {"orthoalgebra": cls.orthoalgebra, "all_indices_one": index_one})
 
-    results["omp_implies_orthoalgebra"] = _implication(omp, orthoalgebra)
+    results["omp_implies_orthoalgebra"] = _implication(cls.omp, cls.orthoalgebra)
 
     archimedean = is_archimedean(alg)
     orthocomplete = is_orthocomplete(alg).ok
     weakly = is_weakly_orthocomplete(alg).ok
-    lattice = all(supremum(alg, (a, b)) is not None for a in range(n) for b in range(a + 1, n)) \
-        and _all_infima_exist(alg)
     atomic = is_atomic(alg)
     atomistic = is_atomistic(alg)
     disjunctive = is_disjunctive(alg)
     orthoatomistic = is_orthoatomistic(alg)
 
-    results["prop_2_6"] = _implication(orthoalgebra, archimedean)
+    results["prop_2_6"] = _implication(cls.orthoalgebra, archimedean)
     results["prop_2_8"] = _implication(orthocomplete, archimedean)
-    results["prop_3_3"] = _implication(orthocomplete or lattice, weakly)
+    results["prop_3_3"] = _implication(orthocomplete or cls.lattice, weakly)
     results["thm_3_2"] = _biconditional(
         atomistic.ok, atomic and disjunctive.ok,
         {"atomistic": atomistic.ok, "atomic": atomic, "disjunctive": disjunctive.ok,
@@ -158,9 +151,9 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
     results["thm_3_7_finite"] = _implication(
         weakly and archimedean and atomic, orthoatomistic.ok, orthoatomistic.witness)
     results["orthoatomistic_omp_implies_atomistic"] = _implication(
-        orthoatomistic.ok and omp, atomistic.ok, atomistic.witness)
+        orthoatomistic.ok and cls.omp, atomistic.ok, atomistic.witness)
 
-    if orthoalgebra:
+    if cls.orthoalgebra:
         bad = next((a for a in range(1, n) if alg.defined(a, a)), None)
         results["self_orthogonal_zero"] = CheckResult(PASS) if bad is None else CheckResult(FAIL, lab(bad))
     else:
@@ -168,13 +161,6 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
 
     assert tuple(results) == CHECK_IDS
     return TheoremReport(alg.name or f"model(size={n})", results)
-
-
-def _all_infima_exist(alg: FiniteEffectAlgebra) -> bool:
-    from .core import infimum
-
-    return all(infimum(alg, (a, b)) is not None
-               for a in range(alg.size) for b in range(a + 1, alg.size))
 
 
 @dataclass
@@ -245,7 +231,6 @@ def run_exhaustive(max_size: int, jobs: int = 1,
                   for m in enumerate_up_to_iso(size, jobs=jobs))
     seen_forms: set[bytes] = set()
     for model in models:
-        require_valid(model)
         form = canonical_form(model)
         if form in seen_forms:
             summary.duplicate_forms += 1

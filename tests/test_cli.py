@@ -37,6 +37,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2 and "line 3" in err
 
+    def test_oversized_carrier_exits_2_before_allocating(self, tmp_path, capsys):
+        path = tmp_path / "huge.efa"
+        path.write_text("elements: 1000000\none: 1\n", encoding="utf-8")
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2 and "line 1:" in err and "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/x.efa")
         assert code == 2

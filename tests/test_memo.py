@@ -1,0 +1,118 @@
+"""Derived facts are memoised on the model object they describe.
+
+A fact belongs to one object: an equal table under other labels or another
+name gets its own.  An analysed model still behaves like a plain value, and
+one report derives each fact once.
+"""
+
+import pickle
+import sys
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+import effalg as ea
+from effalg import core, properties
+from effalg.models import dumps
+from effalg.report import build_report
+from effalg.theorems import run_all
+
+MEMOISED_FACTS = {
+    core: ("validate", "derive_order"),
+    properties: ("classify", "atoms", "_atom_reach", "_ortho_scan", "isotropic_indices",
+                 "pair_joins", "is_atomistic", "is_orthoatomistic", "is_disjunctive"),
+}
+
+
+def _same_table(alg, prefix, name):
+    labels = tuple(f"{prefix}{i}" for i in range(alg.size))
+    return ea.FiniteEffectAlgebra(alg.size, alg.one, alg.table, labels, name)
+
+
+class TestFactsBelongToTheirObject:
+    def test_violations_use_their_own_labels(self):
+        broken = ea.chain(4).with_entry(2, 2, None)
+        first = _same_table(broken, "P", "first")
+        second = _same_table(broken, "Q", "second")
+        assert first == second
+        assert ea.validate(first).violations[1].message == \
+            "P2 has no orthosupplement (no x with P2⊕x = P4)"
+
+        violations = ea.validate(second).violations
+        assert [v.message for v in violations] == [
+            "(Q2⊕Q1)⊕Q1 is defined but Q2⊕(Q1⊕Q1) is not",
+            "Q2 has no orthosupplement (no x with Q2⊕x = Q4)",
+        ]
+        doc = build_report(second)
+        assert doc["model"]["name"] == "second"
+        for entry in doc["violations"]:
+            assert "P" not in entry["message"] and "P" not in "".join(entry["witness"])
+        with pytest.raises(ea.InvalidModelError) as err:
+            ea.derive_order(second)
+        assert "Q2" in str(err.value) and "P" not in str(err.value)
+
+    def test_invariant_violations_name_their_own_model(self, monkeypatch):
+        # A fabricated join route makes the two OMP routes disagree.
+        monkeypatch.setattr(properties, "pair_joins",
+                            lambda alg: (None,) * len(list(alg.defined_pairs())))
+        for name in ("first", "second"):
+            model = _same_table(ea.boolean_algebra(2), name[0].upper(), name)
+            with pytest.raises(ea.InvariantViolation) as err:
+                ea.profile(model)
+            assert str(err.value).endswith(f"failed on {name}")
+
+
+class TestAnalysedModelIsAPlainValue:
+    @pytest.mark.parametrize("recipe", ["even_subsets:6", "chain:5"])
+    def test_pickle_compare_hash_replace(self, recipe):
+        model = ea.parse_recipe(recipe)
+        prof = ea.profile(model)
+        run_all(model)
+
+        copy = pickle.loads(pickle.dumps(model))
+        fresh = ea.parse_recipe(recipe)
+        assert copy == model == fresh
+        assert hash(copy) == hash(model) == hash(fresh)
+        assert (copy.labels, copy.name) == (model.labels, model.name)
+        assert dumps(copy) == dumps(fresh)
+        assert ea.profile(copy) == prof
+        assert build_report(copy) == build_report(fresh)
+
+        renamed = replace(model, name="renamed")
+        assert renamed == model and hash(renamed) == hash(model)
+        assert run_all(renamed).model_name == "renamed"
+        assert build_report(renamed)["model"]["name"] == "renamed"
+
+    def test_invalid_model_pickles_after_validation(self):
+        broken = ea.chain(3).with_entry(1, 2, None)
+        report = ea.validate(broken)
+        copy = pickle.loads(pickle.dumps(broken))
+        assert copy == broken and ea.validate(copy) == report
+
+
+def _calls_during(fn, *args) -> Counter:
+    counts: Counter = Counter()
+
+    def tally(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code] += 1
+
+    sys.setprofile(tally)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+@pytest.mark.parametrize("recipe", ["even_subsets:6", "chain:5"])
+def test_one_report_derives_each_fact_once(recipe):
+    model = ea.parse_recipe(recipe)
+    counts = _calls_during(build_report, model)
+    assert counts[properties.isotropic_index.__code__] == model.size
+    assert counts[properties.is_principal.__code__] <= model.size
+    for module, names in MEMOISED_FACTS.items():
+        for name in names:
+            body = getattr(module, name).__wrapped__.__code__
+            assert counts[body] == 1, name

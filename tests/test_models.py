@@ -160,6 +160,15 @@ class TestEfaFormat:
         with pytest.raises(EfaParseError, match="missing 'elements'"):
             loads("one: 2\n")
 
+    def test_carrier_size_limit(self):
+        from effalg.models import EFA_MAX_ELEMENTS
+
+        assert EFA_MAX_ELEMENTS >= ea.boolean_algebra(10).size
+        assert loads(f"elements: {EFA_MAX_ELEMENTS}\none: 1\n").size == EFA_MAX_ELEMENTS
+        with pytest.raises(EfaParseError) as err:
+            loads(f"# too big\nelements: {EFA_MAX_ELEMENTS + 1}\none: 1\n")
+        assert err.value.line == 2
+
     def test_duplicate_header(self):
         with pytest.raises(EfaParseError):
             loads("elements: 3\nelements: 3\none: 2\n")

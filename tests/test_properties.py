@@ -189,9 +189,9 @@ class TestProfile:
 
     def test_omp_routes_agree_everywhere(self, small_corpus, enumerated_le5):
         for alg in small_corpus + enumerated_le5:
-            cls = ea.classify(alg)  # raises if the two routes disagree
+            cls = ea.classify(alg)  # records both routes; profile raises if they differ
             pairwise = all(ea.supremum(alg, (a, b)) == c for a, b, c in alg.defined_pairs())
-            assert cls.omp == pairwise
+            assert cls.omp == cls.omp_by_joins == pairwise
 
     def test_profile_caches_witnesses(self, even6):
         prof = ea.profile(even6)

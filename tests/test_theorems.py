@@ -35,11 +35,21 @@ class TestRunAll:
         rep = run_all(boolean3)
         assert tuple(rep.results) == CHECK_IDS
 
-    def test_fail_is_reported_not_raised(self):
+    def test_fail_is_reported_not_raised(self, monkeypatch):
         # run_all evaluates statements on whatever valid model it is given;
         # a fabricated report with a fail must surface through `failed`
         rep = run_all(ea.chain(2))
         assert rep.failed == ()
+        # a fabricated join route makes the OMP routes disagree: profile
+        # raises, run_all reports the failed check
+        import effalg.properties as props
+
+        monkeypatch.setattr(props, "pair_joins",
+                            lambda alg: (None,) * len(list(alg.defined_pairs())))
+        model = ea.boolean_algebra(2)
+        with pytest.raises(ea.InvariantViolation):
+            ea.profile(model)
+        assert run_all(model).failed == ("omp_iff_principal_iff_join",)
 
     def test_invalid_model_rejected(self):
         broken = ea.chain(3).with_entry(1, 2, None)  # 1 loses its supplement
