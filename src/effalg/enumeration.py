@@ -16,7 +16,9 @@ The generator fills partial sum tables cell by cell (row-major over pairs
   under the relabelings that respect the pinned structure (permutations
   fixing 0 and the unit and commuting with the involution) is pruned;
 * surviving leaves are validated, canonically relabeled, and deduplicated
-  by canonical form as a final safety net.
+  by canonical form as a final safety net;
+* every emitted model is checked to be its own canonical representative,
+  so callers compare emitted models directly, not their canonical forms.
 
 Isomorphisms fix 0 and 1 by definition, and the table alone determines
 the unit (the top of the induced order), so the canonical form ranges
@@ -33,7 +35,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .core import FiniteEffectAlgebra, _tri, validate
+from .core import FiniteEffectAlgebra, InvariantViolation, _tri, validate
 from .properties import PROFILE_FLAGS, profile
 
 ENUMERATION_CAP = 8
@@ -369,6 +371,7 @@ def enumerate_up_to_iso(n: int, jobs: int = 1) -> list[FiniteEffectAlgebra]:
     """All effect algebras on n elements, one canonical model per class.
 
     Output is sorted by canonical form and identical for any ``jobs``.
+    Each model is its own canonical representative (equal tables iff isomorphic).
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration cap exceeded: need 2 <= n <= {ENUMERATION_CAP}")
@@ -385,6 +388,8 @@ def enumerate_up_to_iso(n: int, jobs: int = 1) -> list[FiniteEffectAlgebra]:
     for chunk in chunks:
         for form, model in chunk:
             by_form.setdefault(form, model)
+    if any(_linearize(m, range(n), range(n), None) != f for f, m in by_form.items()):
+        raise InvariantViolation(f"an order-{n} model is not its own canonical representative")
     ordered = [by_form[f] for f in sorted(by_form)]
     return [replace(m, name=f"enum:{n}:{i}") for i, m in enumerate(ordered)]
 

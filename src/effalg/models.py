@@ -18,8 +18,9 @@ File format (``.efa``): UTF-8 text, full-line ``#`` comments, exactly one
 ``elements: n`` and one ``one: k`` header, optional ``label: i text``
 lines, and ``sum: a b c`` lines meaning a + b = c.  Zero is implicit at
 index 0.  ``a + 0 = a`` entries may be omitted; the loader inserts them.
-Either orientation of a pair is accepted; conflicting entries are parse
-errors, and so is a carrier of more than ``EFA_MAX_ELEMENTS`` elements.
+Either orientation of a pair is accepted.  Conflicting entries, a carrier
+of more than ``EFA_MAX_ELEMENTS`` elements and bytes that are not UTF-8 are
+parse errors; every parse error but a missing header names its line.
 """
 
 from __future__ import annotations
@@ -214,20 +215,26 @@ def loads(text: str, name: str = "") -> FiniteEffectAlgebra:
 
 
 def load(path) -> FiniteEffectAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
+    # surrogateescape keeps an undecodable byte on its own line for _parse to reject
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return _parse(fh, str(path))
 
 
 def _parse(fh: IO[str], name: str) -> FiniteEffectAlgebra:
     size: int | None = None
     one: int | None = None
+    one_ln = 0
     sums: dict[tuple[int, int], tuple[int, int]] = {}  # pair -> (value, line)
-    labels: dict[int, str] = {}
+    labels: dict[int, tuple[str, int]] = {}  # index -> (text, line)
 
     def fail(msg: str, ln: int):
         raise EfaParseError(msg, ln)
 
     for ln, raw in enumerate(fh, start=1):
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            fail(f"not UTF-8 text at column {exc.start + 1}", ln)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -247,7 +254,7 @@ def _parse(fh: IO[str], name: str) -> FiniteEffectAlgebra:
         elif key == "one":
             if one is not None:
                 fail("duplicate 'one' header", ln)
-            one = _int_field(rest, "one", ln)
+            one, one_ln = _int_field(rest, "one", ln), ln
         elif key == "sum":
             parts = rest.split()
             if len(parts) != 3:
@@ -268,7 +275,7 @@ def _parse(fh: IO[str], name: str) -> FiniteEffectAlgebra:
                 idx = int(idx_text)
             except ValueError:
                 fail(f"label line needs an index, got {rest!r}", ln)
-            labels[idx] = label_text.strip()
+            labels[idx] = (label_text.strip(), ln)
         else:
             fail(f"unknown directive {key!r}", ln)
 
@@ -277,13 +284,13 @@ def _parse(fh: IO[str], name: str) -> FiniteEffectAlgebra:
     if one is None:
         raise EfaParseError("missing 'one' header")
     if not 1 <= one < size:
-        raise EfaParseError(f"unit index {one} out of range for {size} elements")
+        fail(f"unit index {one} out of range for {size} elements", one_ln)
     for (a, b), (c, ln) in sums.items():
         if not (0 <= a < size and 0 <= b < size and 0 <= c < size):
             fail(f"sum indices out of range: {a} {b} {c}", ln)
-    for idx in labels:
+    for idx, (_, ln) in labels.items():
         if not 0 <= idx < size:
-            raise EfaParseError(f"label index {idx} out of range")
+            fail(f"label index {idx} out of range for {size} elements", ln)
 
     entries = {pair: c for pair, (c, _) in sums.items()}
     for x in range(size):
@@ -291,7 +298,7 @@ def _parse(fh: IO[str], name: str) -> FiniteEffectAlgebra:
 
     label_tuple: tuple[str, ...] = ()
     if labels:
-        label_tuple = tuple(labels.get(i, str(i)) for i in range(size))
+        label_tuple = tuple(labels[i][0] if i in labels else str(i) for i in range(size))
     return FiniteEffectAlgebra.from_entries(size, one, entries, label_tuple, name)
 
 

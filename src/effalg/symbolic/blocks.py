@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import Refutation
 
@@ -86,12 +85,6 @@ _COMPLEMENT = {
 }
 
 
-def point_as_natural(p: Point) -> int:
-    """The embedding that realizes block i as the residue class i-1 mod 4."""
-    i, k = p
-    return 4 * k + (i - 1)
-
-
 def contains(u: BlockElement, p: Point) -> bool:
     return (p[0] in u.base) != (p in u.pert)
 
@@ -142,13 +135,6 @@ def ominus(v: BlockElement, u: BlockElement) -> BlockElement | None:
 
 def singleton(p: Point) -> BlockElement:
     return BlockElement(frozenset(), frozenset({p}))
-
-
-def block_points(i: int) -> Iterator[Point]:
-    k = 0
-    while True:
-        yield (i, k)
-        k += 1
 
 
 U12 = BlockElement(frozenset({1, 2}))

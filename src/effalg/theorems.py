@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .core import FiniteEffectAlgebra, derive_order
-from .enumeration import canonical_form, enumerate_up_to_iso
+from .enumeration import enumerate_up_to_iso
 from .properties import (
     classify,
     is_archimedean,
@@ -220,8 +220,9 @@ def run_exhaustive(max_size: int, jobs: int = 1,
     """Run every check on every effect algebra of order <= max_size.
 
     A failing model is recorded with its check id and witness and, when
-    ``dump_dir`` is given, written out as an .efa file.  Canonical forms
-    are re-collected to assert that the stream is isomorphism-free.
+    ``dump_dir`` is given, written out as an .efa file.  ``models`` must come
+    from ``enumerate_up_to_iso``, whose models are their own canonical
+    representatives, so ``duplicate_forms`` counts repeated models.
     """
     started = time.perf_counter()
     summary = ExhaustiveSummary(max_size=max_size)
@@ -229,12 +230,11 @@ def run_exhaustive(max_size: int, jobs: int = 1,
     if models is None:
         models = (m for size in range(2, max_size + 1)
                   for m in enumerate_up_to_iso(size, jobs=jobs))
-    seen_forms: set[bytes] = set()
+    seen: set[FiniteEffectAlgebra] = set()
     for model in models:
-        form = canonical_form(model)
-        if form in seen_forms:
+        if model in seen:
             summary.duplicate_forms += 1
-        seen_forms.add(form)
+        seen.add(model)
         summary.models_per_size[model.size] = summary.models_per_size.get(model.size, 0) + 1
         report = run_all(model)
         failed_here = False

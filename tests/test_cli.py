@@ -5,6 +5,7 @@ import json
 import pytest
 
 import effalg as ea
+from effalg import enumeration
 from effalg import report as report_mod
 from effalg.cli import cover_pairs, main
 from effalg.models import dumps
@@ -42,6 +43,17 @@ class TestCheck:
         path.write_text("elements: 1000000\none: 1\n", encoding="utf-8")
         code, _, err = run(capsys, "check", str(path))
         assert code == 2 and "line 1:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("payload, line", [
+        (b"elements: 3\n# unit\none: 7\n", 3),
+        (b"elements: 3\none: 2\nlabel: 1 a\nlabel: 5 e\nsum: 1 1 2\n", 4),
+        (b"elements: 3\none: 2\nsum: 1 1 \xff\n", 3),
+    ], ids=["unit-index", "label-index", "not-utf8"])
+    def test_rejection_names_its_line(self, tmp_path, capsys, payload, line):
+        path = tmp_path / "bad.efa"
+        path.write_bytes(payload)
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2 and f"line {line}:" in err and "Traceback" not in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/x.efa")
@@ -282,6 +294,12 @@ class TestExitCodeThree:
         ea.save(ea.chain(3), path)
         code, _, err = run(capsys, "props", str(path), "--json")
         assert code == 3 and "thm_3_2" in err
+
+    def test_enumerator_relabelling_defect_exits_3(self, capsys, monkeypatch):
+        # without relabelling, an emitted model is not its own canonical form
+        monkeypatch.setattr(enumeration, "permute", lambda alg, pi: alg)
+        code, _, err = run(capsys, "enumerate", "--max-size", "4")
+        assert code == 3 and "canonical representative" in err
 
     def test_invariant_violation_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
         import effalg.cli as cli_mod

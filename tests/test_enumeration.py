@@ -276,11 +276,15 @@ class TestCanonicalForm:
         assert ea.canonical_form(ea.chain(3)) != ea.canonical_form(ea.boolean_algebra(2))
 
     def test_canonicalize_fixes_zero_and_preserves_class(self):
-        for m in ea.enumerate_up_to_iso(5):
-            form, canon = ea.canonicalize(m)
-            assert canon.size == m.size
-            assert ea.validate(canon).valid
-            assert ea.canonical_form(canon) == form
+        # brute force is the reference: every emitted model is its own
+        # canonical representative, so callers may compare models directly
+        for n in range(2, 7):
+            for m in ea.enumerate_up_to_iso(n):
+                form, canon = ea.canonicalize(m)
+                assert canon.size == m.size
+                assert ea.validate(canon).valid
+                assert ea.canonical_form(canon) == form
+                assert canon.table == m.table
 
 
 class TestSearch:

@@ -1,11 +1,12 @@
 """Derived facts are memoised on the model object they describe.
 
 A fact belongs to one object: an equal table under other labels or another
-name gets its own.  An analysed model still behaves like a plain value, and
-one report derives each fact once.
+name gets its own.  An analysed model still behaves like a plain value, one
+report derives each fact once, and one enumeration labels each class once.
 """
 
 import pickle
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -13,7 +14,8 @@ from dataclasses import replace
 import pytest
 
 import effalg as ea
-from effalg import core, properties
+from effalg import core, enumeration, properties
+from effalg.cli import main
 from effalg.models import dumps
 from effalg.report import build_report
 from effalg.theorems import run_all
@@ -116,3 +118,11 @@ def test_one_report_derives_each_fact_once(recipe):
         for name in names:
             body = getattr(module, name).__wrapped__.__code__
             assert counts[body] == 1, name
+
+
+def test_enumerate_canonicalizes_each_class_once(capsys):
+    counts = _calls_during(main, ["enumerate", "--max-size", "6", "--verify-theorems"])
+    out = capsys.readouterr().out
+    classes = sum(int(k) for k in re.findall(r"^order \d+: (\d+) models$", out, re.M))
+    assert classes == 19
+    assert counts[enumeration.canonicalize.__code__] == classes

@@ -64,6 +64,12 @@ class TestRunExhaustive:
         assert not summary.failures
         assert summary.duplicate_forms == 0
 
+    def test_repeated_model_counts_as_duplicate(self):
+        m = ea.enumerate_up_to_iso(4)[0]
+        summary = run_exhaustive(4, models=[m, m])
+        assert summary.duplicate_forms == 1
+        assert summary.models_per_size == {4: 2}
+
     def test_order_5_tallies(self):
         summary = run_exhaustive(5)
         assert summary.total_models == 9
