@@ -14,10 +14,11 @@ families list subsets in binary-counter order of their characteristic
 masks, chains in numeric order, horizontal sums as [0, left middles,
 right middles, 1].  Every constructor output passes validation.
 
-File format (``.efa``): UTF-8 text, full-line ``#`` comments, exactly one
-``elements: n`` and one ``one: k`` header, optional ``label: i text``
-lines, and ``sum: a b c`` lines meaning a + b = c.  Zero is implicit at
-index 0.  ``a + 0 = a`` entries may be omitted; the loader inserts them.
+File format (``.efa``): UTF-8 text (one leading byte-order mark is
+skipped), full-line ``#`` comments, exactly one ``elements: n`` and one
+``one: k`` header, optional ``label: i text`` lines, and ``sum: a b c``
+lines meaning a + b = c.  Zero is implicit at index 0.  ``a + 0 = a``
+entries may be omitted; the loader inserts them.
 Either orientation of a pair is accepted.  Conflicting entries, a carrier
 of more than ``EFA_MAX_ELEMENTS`` elements and bytes that are not UTF-8 are
 parse errors; every parse error but a missing header names its line.
@@ -235,6 +236,8 @@ def _parse(fh: IO[str], name: str) -> FiniteEffectAlgebra:
             raw.encode("utf-8")
         except UnicodeEncodeError as exc:
             fail(f"not UTF-8 text at column {exc.start + 1}", ln)
+        if ln == 1 and raw.startswith("\ufeff"):
+            raw = raw[1:]  # a UTF-8 byte-order mark, as some editors write
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

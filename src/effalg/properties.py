@@ -24,6 +24,7 @@ Conventions adopted here:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -291,11 +292,12 @@ class OrthoScan:
     orthocomplete: Decision
     weakly_orthocomplete: Decision
     systems_checked: int
+    states: int  # memo entries of the scan, the root included
 
 
 @per_model
 def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
-    """Enumerate every orthogonal multiset and run both completeness checks.
+    """Run both completeness checks over every orthogonal multiset.
 
     A multiset of nonzero elements is an orthogonal system iff its total
     sum is defined, so the search extends nondecreasing value sequences and
@@ -308,54 +310,83 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
     system to exist; weak orthocompleteness tolerates a missing supremum as
     long as there is no minimal upper bound either.  Both are theorems on
     finite models, but the checks are performed for real here.
+
+    The search is memoised on ``(min_v, psums)``: the least value the next
+    element may take and the bitmask of partial sums so far.  That key fixes
+    the whole subtree below it.  The running total is the largest element
+    of ``psums`` and the upper bounds are the meet of ``order.up`` over it,
+    so every extension, every sub-multiset check and every verdict below is
+    a function of the key.  Each call returns the number of systems in its
+    subtree, which keeps ``systems_checked`` exact.  The search stays depth
+    first in the same order, and a repeated key names a subtree that was
+    explored in full when the key first came up, so the first witness is
+    the one an unmemoised walk finds.
     """
     order = derive_order(alg)
+    up, down = order.up, order.down
     n = alg.size
     full = (1 << n) - 1
+    # rows[a][b] is a + b or None; partners[a] lists the nonzero b with a + b
+    # defined, ascending.
+    rows: list[list[int | None]] = [[None] * n for _ in range(n)]
+    partners: list[list[int]] = [[] for _ in range(n)]
+    for a, b, c in alg.defined_pairs():
+        rows[a][b] = rows[b][a] = c
+        if a:
+            partners[b].append(a)
+        if b and a != b:
+            partners[a].append(b)
+    for row in partners:
+        row.sort()
     oc_witness: list[tuple[int, ...]] = []
     woc_witness: list[tuple[int, ...]] = []
-    count = 0
     stack: list[int] = []
+    memo: dict[tuple[int, int], int] = {}
 
     def least_of(mask: int) -> int | None:
         for u in _bits(mask):
-            if not mask & ~order.up[u]:
+            if not mask & ~up[u]:
                 return u
         return None
 
-    def extend(min_v: int, total: int, psums: int, ub: int) -> None:
-        nonlocal count
-        for v in range(min_v, n):
-            new_total = alg.sum_of(total, v)
-            if new_total is None:
-                continue
+    def extend(min_v: int, total: int, psums: int, ub: int) -> int:
+        key = (min_v, psums)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        found = 0
+        total_row = rows[total]
+        cands = partners[total]
+        for v in cands[bisect_left(cands, min_v):]:
+            v_row = rows[v]
             new_psums = psums
             new_ub = ub
             for p in _bits(psums):
-                s = alg.sum_of(p, v)
+                s = v_row[p]
                 if s is None:
                     raise InvariantViolation(
                         "a sub-multiset sum is undefined although the total is defined")
                 if not new_psums >> s & 1:
                     new_psums |= 1 << s
-                    new_ub &= order.up[s]
+                    new_ub &= up[s]
             stack.append(v)
-            count += 1
             if least_of(new_ub) is None:
                 if not oc_witness:
                     oc_witness.append(tuple(stack))
                 if not woc_witness and any(
-                        order.down[m] & new_ub == 1 << m for m in _bits(new_ub)):
+                        down[m] & new_ub == 1 << m for m in _bits(new_ub)):
                     woc_witness.append(tuple(stack))
-            extend(v, new_total, new_psums, new_ub)
+            found += 1 + extend(v, total_row[v], new_psums, new_ub)
             stack.pop()
+        memo[key] = found
+        return found
 
-    count += 1  # the empty system: partial sums {0}, supremum 0
-    extend(1, 0, 1, full)
+    # 1 for the empty system: partial sums {0}, supremum 0
+    count = 1 + extend(1, 0, 1, full)
 
     oc = Decision(not oc_witness, oc_witness[0] if oc_witness else None)
     woc = Decision(not woc_witness, woc_witness[0] if woc_witness else None)
-    return OrthoScan(oc, woc, count)
+    return OrthoScan(oc, woc, count, len(memo))
 
 
 def is_orthocomplete(alg: FiniteEffectAlgebra) -> Decision:

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import effalg as ea
 from effalg.cli import main as cli_main
+from effalg.properties import _ortho_scan
 from effalg.symbolic import balanced, blocks, extended_chain, fincof
 from effalg.theorems import run_exhaustive
 
@@ -282,3 +283,12 @@ def test_criterion_8_determinism(tmp_path, capsys):
         forms1 = sorted(ea.canonical_form(ea.load(dir1 / n)) for n in names1)
         forms4 = sorted(ea.canonical_form(ea.load(dir4 / n)) for n in names4)
         assert forms1 == forms4
+
+
+def test_criterion_9_orthogonal_scan_on_chain48():
+    with criterion("9 orthogonal scan on chain:48", 6.0):
+        alg = ea.chain(48)
+        prof = ea.profile(alg)
+        assert prof.orthocomplete and prof.weakly_orthocomplete
+        # the partitions of the totals 0..48
+        assert _ortho_scan(alg).systems_checked == 918220

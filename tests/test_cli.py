@@ -55,6 +55,22 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2 and f"line {line}:" in err and "Traceback" not in err
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "bom.efa"
+        path.write_bytes(b"\xef\xbb\xbfelements: 3\none: 2\nsum: 1 1 2\n")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0 and "valid effect algebra" in out
+
+    @pytest.mark.parametrize("payload, line", [
+        ("elements: 3\n\ufeffone: 2\nsum: 1 1 2\n", 2),
+        ("\ufeff\ufeffelements: 3\none: 2\nsum: 1 1 2\n", 1),
+    ], ids=["second-line", "doubled"])
+    def test_stray_byte_order_mark_names_its_line(self, tmp_path, capsys, payload, line):
+        path = tmp_path / "bad.efa"
+        path.write_text(payload, encoding="utf-8")
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2 and f"line {line}:" in err and "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/x.efa")
         assert code == 2

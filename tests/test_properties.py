@@ -1,10 +1,70 @@
 """Property deciders and their cross-property laws."""
 
+import dataclasses
+import itertools
 import math
 
+import pytest
+
 import effalg as ea
+from effalg import properties
+from effalg.core import InvariantViolation, _bits
+from effalg.properties import Decision, _ortho_scan
 
 from conftest import even_subset_index
+
+
+def _plain_ortho_scan(alg, order):
+    """The orthogonal-system scan without memoisation: one visit per system.
+
+    The reference ``_ortho_scan`` must agree with.  Returns the two
+    decisions and the number of systems visited.
+    """
+    n = alg.size
+    full = (1 << n) - 1
+    oc_witness = []
+    woc_witness = []
+    count = 0
+    stack = []
+
+    def least_of(mask):
+        for u in _bits(mask):
+            if not mask & ~order.up[u]:
+                return u
+        return None
+
+    def extend(min_v, total, psums, ub):
+        nonlocal count
+        for v in range(min_v, n):
+            new_total = alg.sum_of(total, v)
+            if new_total is None:
+                continue
+            new_psums = psums
+            new_ub = ub
+            for p in _bits(psums):
+                s = alg.sum_of(p, v)
+                if s is None:
+                    raise InvariantViolation(
+                        "a sub-multiset sum is undefined although the total is defined")
+                if not new_psums >> s & 1:
+                    new_psums |= 1 << s
+                    new_ub &= order.up[s]
+            stack.append(v)
+            count += 1
+            if least_of(new_ub) is None:
+                if not oc_witness:
+                    oc_witness.append(tuple(stack))
+                if not woc_witness and any(
+                        order.down[m] & new_ub == 1 << m for m in _bits(new_ub)):
+                    woc_witness.append(tuple(stack))
+            extend(v, new_total, new_psums, new_ub)
+            stack.pop()
+
+    count += 1  # the empty system: partial sums {0}, supremum 0
+    extend(1, 0, 1, full)
+    oc = Decision(not oc_witness, oc_witness[0] if oc_witness else None)
+    woc = Decision(not woc_witness, woc_witness[0] if woc_witness else None)
+    return oc, woc, count
 
 
 class TestPrincipal:
@@ -147,10 +207,57 @@ class TestOrthocompleteness:
             assert ea.is_weakly_orthocomplete(alg).ok
 
     def test_scan_visits_every_orthogonal_multiset_on_chain(self):
-        from effalg.properties import _ortho_scan
-
         # partitions of 1..5 into parts, plus the empty system: 1+2+3+5+7+1
         assert _ortho_scan(ea.chain(5)).systems_checked == 19
+
+    @pytest.mark.parametrize("k, expected", [(5, 19), (12, 272), (32, 43820)])
+    def test_chain_system_count_is_a_sum_of_partition_numbers(self, k, expected):
+        # On chain:k the orthogonal multisets of nonzero elements are the
+        # partitions of the totals 0..k, so the count is sum_{t<=k} p(t).
+        # p(t) by the usual recurrence over the largest part allowed.
+        p = [1] + [0] * k
+        for part in range(1, k + 1):
+            for t in range(part, k + 1):
+                p[t] += p[t - part]
+        assert sum(p) == expected
+        assert _ortho_scan(ea.chain(k)).systems_checked == expected
+
+    def test_scan_states_on_chain32(self):
+        # memo entries, the root included; the unmemoised walk visits 43,820
+        assert _ortho_scan(ea.chain(32)).states == 7207
+
+    def test_memoised_scan_matches_plain_walk(self, boolean3, even6):
+        models = [m for n in range(2, 7) for m in ea.enumerate_up_to_iso(n)]
+        models += [boolean3, even6, ea.horizontal_sum(ea.boolean_algebra(2), ea.chain(3))]
+        for alg in models:
+            scan = _ortho_scan(alg)
+            assert (scan.orthocomplete, scan.weakly_orthocomplete, scan.systems_checked) \
+                == _plain_ortho_scan(alg, ea.derive_order(alg)), alg
+
+    @pytest.mark.parametrize("total, part", [
+        (t, p) for t in range(2, 7) for p in range(1, t)])
+    def test_memoised_scan_finds_the_same_first_witness(self, total, part, monkeypatch):
+        # Valid models have no witness, so bend the order of chain:9: drop
+        # `total` from its own up-set and `total + 2` from the up-sets of
+        # `total + 1` and `part`.  Then a system fails exactly when it sums
+        # to `total` and has no partial sum `part`, which puts the first
+        # witness off the leftmost path of a search that reuses subtrees.
+        alg = ea.chain(9)
+        order = ea.derive_order(alg)
+        up = list(order.up)
+        up[total] &= ~(1 << total)
+        up[total + 1] &= ~(1 << total + 2)
+        up[part] &= ~(1 << total + 2)
+        bent = dataclasses.replace(order, up=tuple(up))
+        monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
+        scan = _ortho_scan(alg)
+        expected = _plain_ortho_scan(alg, bent)
+        assert (scan.orthocomplete, scan.weakly_orthocomplete, scan.systems_checked) \
+            == expected
+        witness = expected[0].witness
+        assert sum(witness) == total
+        assert part not in {sum(c) for r in range(len(witness) + 1)
+                            for c in itertools.combinations(witness, r)}
 
 
 class TestProfile:
