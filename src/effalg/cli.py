@@ -256,15 +256,24 @@ def cmd_search(args) -> int:
 # witnesses
 
 
+# Refutation witnesses: claim, bound-shaped and arbitrary candidate draws,
+# refuter.  Half the candidates (rounded down) are arbitrary elements, drawn
+# after the bounds.
+_REFUTATIONS = {
+    "ex34": (fincof.CLAIM, fincof.random_upper_bound, fincof.random_element,
+             fincof.refute_upper_bound_candidate),
+    "ex36-meet": (blocks.MEET_CLAIM, blocks.random_common_lower_bound, blocks.random_element,
+                  blocks.refute_meet_candidate),
+    "ex36-sup": (blocks.SUP_CLAIM, blocks.random_b1_upper_bound, blocks.random_element,
+                 blocks.refute_singleton_sup_candidate),
+}
+
+
 def cmd_witness(args) -> int:
-    rng = random.Random(args.seed)
     text = not args.json
-    if args.name == "ex34":
-        code, payload = _witness_ex34(rng, args.candidates, text)
-    elif args.name == "ex36-meet":
-        code, payload = _witness_ex36_meet(rng, args.candidates, text)
-    elif args.name == "ex36-sup":
-        code, payload = _witness_ex36_sup(rng, args.candidates, text)
+    if args.name in _REFUTATIONS:
+        code, payload = _run_refutations(
+            _REFUTATIONS[args.name], random.Random(args.seed), args.candidates, text)
     elif args.name == "ex38":
         code, payload = _witness_ex38(args.target, args.depth, text)
     else:
@@ -282,7 +291,11 @@ def cmd_witness(args) -> int:
     return code
 
 
-def _run_refutations(claim: str, candidates, refuter, text: bool) -> tuple[int, dict]:
+def _run_refutations(spec, rng: random.Random, k: int, text: bool) -> tuple[int, dict]:
+    claim, draw_bound, draw_element, refuter = spec
+    half = k // 2
+    candidates = [draw_bound(rng) for _ in range(k - half)] \
+        + [draw_element(rng) for _ in range(half)]
     if text:
         print(f"claim: {claim}")
     entries = []
@@ -302,30 +315,6 @@ def _run_refutations(claim: str, candidates, refuter, text: bool) -> tuple[int, 
     payload = {"claim": claim, "candidates": len(entries), "refuted": len(entries),
                "by_kind": kinds, "refutations": entries}
     return 0, payload
-
-
-def _witness_ex34(rng: random.Random, k: int, text: bool) -> tuple[int, dict]:
-    half = k // 2
-    candidates = [fincof.random_upper_bound(rng) for _ in range(k - half)] \
-        + [fincof.random_element(rng) for _ in range(half)]
-    return _run_refutations(fincof.CLAIM, candidates,
-                            fincof.refute_upper_bound_candidate, text)
-
-
-def _witness_ex36_meet(rng: random.Random, k: int, text: bool) -> tuple[int, dict]:
-    half = k // 2
-    candidates = [blocks.random_common_lower_bound(rng) for _ in range(k - half)] \
-        + [blocks.random_element(rng) for _ in range(half)]
-    return _run_refutations(blocks.MEET_CLAIM, candidates,
-                            blocks.refute_meet_candidate, text)
-
-
-def _witness_ex36_sup(rng: random.Random, k: int, text: bool) -> tuple[int, dict]:
-    half = k // 2
-    candidates = [blocks.random_b1_upper_bound(rng) for _ in range(k - half)] \
-        + [blocks.random_element(rng) for _ in range(half)]
-    return _run_refutations(blocks.SUP_CLAIM, candidates,
-                            blocks.refute_singleton_sup_candidate, text)
 
 
 def _witness_ex38(target: int, depth: int, text: bool) -> tuple[int, dict]:

@@ -125,9 +125,7 @@ class FiniteEffectAlgebra:
         return cls(size, one, tuple(cells), tuple(labels or ()), name)
 
     def sum_of(self, a: int, b: int) -> int | None:
-        if a > b:
-            a, b = b, a
-        return self.table[_tri(self.size, a, b)]
+        return sum_rows(self)[a][b]
 
     def defined(self, a: int, b: int) -> bool:
         return self.sum_of(a, b) is not None
@@ -177,6 +175,20 @@ def per_model(fn: Callable[[FiniteEffectAlgebra], Any]) -> Callable[[FiniteEffec
     return memoised
 
 
+@per_model
+def sum_rows(alg: FiniteEffectAlgebra) -> tuple[tuple[int | None, ...], ...]:
+    """The full symmetric sum table: ``sum_rows(alg)[a][b]`` is a + b or ``None``.
+
+    Every reader of the partial sum goes through these rows; only the code
+    that builds or edits a table touches the triangle.
+    """
+    n = alg.size
+    rows: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for a, b, c in alg.defined_pairs():
+        rows[a][b] = rows[b][a] = c
+    return tuple(map(tuple, rows))
+
+
 @dataclass(frozen=True)
 class Violation:
     axiom: str  # "A1" | "A2" | "A3" | "A4"
@@ -203,7 +215,7 @@ def validate(alg: FiniteEffectAlgebra) -> ValidationReport:
     """
     n = alg.size
     one = alg.one
-    s = alg.sum_of
+    rows = sum_rows(alg)
     lab = alg.label
     violations: list[Violation] = []
 
@@ -211,25 +223,21 @@ def validate(alg: FiniteEffectAlgebra) -> ValidationReport:
     # (y, x+y) with the sum defined, ascending in y, so the scans below
     # visit instances in the same lexicographic order as a full triple
     # loop while touching only live entries.
-    partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, c in alg.defined_pairs():
-        partners[a].append((b, c))
-        if a != b:
-            partners[b].append((a, c))
-    for row in partners:
-        row.sort()
+    partners = [[(y, c) for y, c in enumerate(row) if c is not None] for row in rows]
 
     # A2, strong form, over all ordered triples with a defined hypothesis.
     for x in range(n):
+        x_row = rows[x]
         for y, p in partners[x]:
+            y_row = rows[y]
             for z, q in partners[p]:
-                t = s(y, z)
+                t = y_row[z]
                 if t is None:
                     violations.append(Violation(
                         "A2", (x, y, z),
                         f"({lab(x)}⊕{lab(y)})⊕{lab(z)} is defined but {lab(y)}⊕{lab(z)} is not"))
                     continue
-                r = s(x, t)
+                r = x_row[t]
                 if r is None:
                     violations.append(Violation(
                         "A2", (x, y, z),
@@ -252,7 +260,7 @@ def validate(alg: FiniteEffectAlgebra) -> ValidationReport:
 
     # A4: only 0 may be summed with the unit.
     for a in range(1, n):
-        if s(a, one) is not None:
+        if rows[a][one] is not None:
             violations.append(Violation(
                 "A4", (a,), f"{lab(a)}⊕{lab(one)} is defined but {lab(a)} ≠ {lab(0)}"))
 
@@ -334,12 +342,7 @@ def derive_order(alg: FiniteEffectAlgebra) -> OrderRelation:
     if up[0] != full or up[one] != 1 << one or down[one] != full:
         raise InvariantViolation("0 and 1 are not the bounds of the induced order")
 
-    supp = [-1] * n
-    for a in range(n):
-        for x in range(n):
-            if alg.sum_of(a, x) == one:
-                supp[a] = x
-                break
+    supp = [row.index(one) for row in sum_rows(alg)]
     for a in range(n):
         if supp[supp[a]] != a:
             raise InvariantViolation("orthosupplement is not an involution")

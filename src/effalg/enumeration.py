@@ -35,7 +35,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .core import FiniteEffectAlgebra, InvariantViolation, _tri, validate
+from .core import FiniteEffectAlgebra, InvariantViolation, _tri, sum_rows, validate
 from .properties import PROFILE_FLAGS, profile
 
 ENUMERATION_CAP = 8
@@ -66,15 +66,21 @@ def permute(alg: FiniteEffectAlgebra, pi: Sequence[int]) -> FiniteEffectAlgebra:
 
 def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int],
                best: bytes | None) -> bytes | None:
-    """Linearization of the pi-image table; ``None`` once it exceeds ``best``."""
+    """Linearization of the pi-image table; ``None`` once it exceeds ``best``.
+
+    Each cell is one byte and 255 codes "undefined", so carriers of more
+    than 255 elements raise ``ValueError``.
+    """
     n = alg.size
-    s = alg.sum_of
+    if n > 255:
+        raise ValueError(f"canonical forms cover carriers of at most 255 elements, not {n}")
+    rows = sum_rows(alg)
     out = bytearray()
     pos = 0
     for a in range(n):
-        ia = inv[a]
+        row = rows[inv[a]]
         for b in range(a, n):
-            v = s(ia, inv[b])
+            v = row[inv[b]]
             code = 255 if v is None else pi[v]
             if best is not None:
                 ref = best[pos]
@@ -88,7 +94,10 @@ def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int],
 
 
 def canonicalize(alg: FiniteEffectAlgebra) -> tuple[bytes, FiniteEffectAlgebra]:
-    """Canonical form and the canonically relabeled model."""
+    """Canonical form and the canonically relabeled model.
+
+    Carriers of more than 255 elements raise ``ValueError`` (see ``_linearize``).
+    """
     n = alg.size
     best: bytes | None = None
     best_pi: tuple[int, ...] | None = None
@@ -134,12 +143,12 @@ def _all_involutions(elems: list[int]) -> Iterator[dict[int, int]]:
             yield {first: partner, partner: first, **tail}
 
 
-def _centralizer_perms(n: int, sigma: Sequence[int], limit: int = _PRUNE_PERM_LIMIT
-                       ) -> list[tuple[int, ...]]:
+def _centralizer_perms(n: int, sigma: Sequence[int]) -> list[tuple[int, ...]]:
     """Permutations fixing 0 and n-1 that commute with sigma (identity excluded).
 
-    Deterministically truncated at ``limit``: any subset gives sound (if
-    weaker) pruning, and leaves are deduplicated by canonical form anyway.
+    Deterministically truncated at ``_PRUNE_PERM_LIMIT``: any subset gives
+    sound (if weaker) pruning, and leaves are deduplicated by canonical form
+    anyway.
     """
     mid = list(range(1, n - 1))
     pairs = sorted({tuple(sorted((a, sigma[a]))) for a in mid if sigma[a] != a})
@@ -160,7 +169,7 @@ def _centralizer_perms(n: int, sigma: Sequence[int], limit: int = _PRUNE_PERM_LI
                 tpi = tuple(pi)
                 if tpi != tuple(range(n)):
                     out.append(tpi)
-                if len(out) >= limit:
+                if len(out) >= _PRUNE_PERM_LIMIT:
                     return out
     return out
 
@@ -388,10 +397,11 @@ def enumerate_up_to_iso(n: int, jobs: int = 1) -> list[FiniteEffectAlgebra]:
     for chunk in chunks:
         for form, model in chunk:
             by_form.setdefault(form, model)
-    if any(_linearize(m, range(n), range(n), None) != f for f, m in by_form.items()):
+    forms = sorted(by_form)
+    ordered = [replace(by_form[f], name=f"enum:{n}:{i}") for i, f in enumerate(forms)]
+    if any(_linearize(m, range(n), range(n), None) != f for f, m in zip(forms, ordered)):
         raise InvariantViolation(f"an order-{n} model is not its own canonical representative")
-    ordered = [by_form[f] for f in sorted(by_form)]
-    return [replace(m, name=f"enum:{n}:{i}") for i, m in enumerate(ordered)]
+    return ordered
 
 
 def count(n: int) -> dict[int, int]:
@@ -436,11 +446,11 @@ class SearchResult:
     certificate: str
 
 
-def search(constraint: SearchConstraint, jobs: int = 1) -> SearchResult:
+def search(constraint: SearchConstraint) -> SearchResult:
     """First enumerated model matching the constraint, else a negative certificate."""
     scanned = 0
     for size in range(2, constraint.max_size + 1):
-        for model in enumerate_up_to_iso(size, jobs=jobs):
+        for model in enumerate_up_to_iso(size):
             scanned += 1
             flags = profile(model).flags()
             if all(flags[p] for p in constraint.required) and \

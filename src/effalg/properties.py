@@ -37,6 +37,7 @@ from .core import (
     minimal_upper_bounds,
     per_model,
     require_valid,
+    sum_rows,
     supremum,
 )
 
@@ -326,18 +327,9 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
     up, down = order.up, order.down
     n = alg.size
     full = (1 << n) - 1
-    # rows[a][b] is a + b or None; partners[a] lists the nonzero b with a + b
-    # defined, ascending.
-    rows: list[list[int | None]] = [[None] * n for _ in range(n)]
-    partners: list[list[int]] = [[] for _ in range(n)]
-    for a, b, c in alg.defined_pairs():
-        rows[a][b] = rows[b][a] = c
-        if a:
-            partners[b].append(a)
-        if b and a != b:
-            partners[a].append(b)
-    for row in partners:
-        row.sort()
+    rows = sum_rows(alg)
+    # the nonzero partners of each element, ascending: a state visits only these
+    partners = [[v for v in range(1, n) if row[v] is not None] for row in rows]
     oc_witness: list[tuple[int, ...]] = []
     woc_witness: list[tuple[int, ...]] = []
     stack: list[int] = []

@@ -68,11 +68,11 @@ def _theorems_json(alg: FiniteEffectAlgebra, report: TheoremReport) -> dict:
     return out
 
 
-def build_report(alg: FiniteEffectAlgebra, name: str | None = None) -> dict:
+def build_report(alg: FiniteEffectAlgebra) -> dict:
     """The full JSON report for one model (profile only when valid)."""
     validation = validate(alg)
     doc: dict[str, Any] = {
-        "model": {"name": name if name is not None else alg.name, "size": alg.size},
+        "model": {"name": alg.name, "size": alg.size},
         "valid": validation.valid,
         "violations": _violations_json(alg, validation),
         "profile": {},

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .core import FiniteEffectAlgebra, derive_order
+from .core import FiniteEffectAlgebra, derive_order, sum_rows
 from .enumeration import enumerate_up_to_iso
 from .properties import (
     classify,
@@ -103,8 +103,8 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
 
     # cancellation: quantified over all a, b, c with a⊕b and a⊕c defined.
     cancel: CheckResult | None = None
-    for a in range(n):
-        partners = [(b, alg.sum_of(a, b)) for b in range(n) if alg.defined(a, b)]
+    for a, row in enumerate(sum_rows(alg)):
+        partners = [(b, ab) for b, ab in enumerate(row) if ab is not None]
         for b, ab in partners:
             for c, ac in partners:
                 if order.le(ab, ac) and not order.le(b, c):
@@ -214,8 +214,7 @@ def _plain(value: Any) -> Any:
     return value if isinstance(value, (str, int, float, bool)) or value is None else str(value)
 
 
-def run_exhaustive(max_size: int, jobs: int = 1,
-                   models: Iterable[FiniteEffectAlgebra] | None = None,
+def run_exhaustive(max_size: int, models: Iterable[FiniteEffectAlgebra] | None = None,
                    dump_dir: str | None = None) -> ExhaustiveSummary:
     """Run every check on every effect algebra of order <= max_size.
 
@@ -229,7 +228,7 @@ def run_exhaustive(max_size: int, jobs: int = 1,
     tallies = {cid: {PASS: 0, VACUOUS: 0, FAIL: 0} for cid in CHECK_IDS}
     if models is None:
         models = (m for size in range(2, max_size + 1)
-                  for m in enumerate_up_to_iso(size, jobs=jobs))
+                  for m in enumerate_up_to_iso(size))
     seen: set[FiniteEffectAlgebra] = set()
     for model in models:
         if model in seen:

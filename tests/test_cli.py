@@ -275,6 +275,16 @@ class TestWitnessCommand:
             assert "refuted 10/10" in out
             assert "re-verified" in out
 
+    @pytest.mark.parametrize("name", ["ex34", "ex36-meet", "ex36-sup"])
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_refutation_output_is_pinned(self, name, fmt, capsys, request):
+        # goldens recorded at the default seed with --candidates 10
+        golden = request.path.parent / "golden" / f"witness_{name}.{fmt}"
+        flags = ["--json"] if fmt == "json" else []
+        code, out, _ = run(capsys, "witness", name, "--candidates", "10", *flags)
+        assert code == 0
+        assert out == golden.read_text(encoding="utf-8")
+
     def test_unknown_witness_exits_2(self, capsys):
         code, _, _ = run(capsys, "witness", "ex99")
         assert code == 2

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import effalg as ea
-from effalg.core import FiniteEffectAlgebra
+from effalg.core import FiniteEffectAlgebra, sum_rows
 
 from conftest import even_subset_index
 
@@ -40,6 +40,34 @@ class TestConstruction:
     def test_with_entry_roundtrip(self, chain5):
         assert chain5.with_entry(1, 1, None).sum_of(1, 1) is None
         assert chain5.with_entry(1, 1, 2) == chain5
+
+
+class TestSumRows:
+    @staticmethod
+    def assert_rows_match_triangle(alg):
+        rows = sum_rows(alg)
+        cells = iter(alg.table)
+        for a in range(alg.size):
+            for b in range(a, alg.size):
+                cell = next(cells)
+                assert rows[a][b] == rows[b][a] == cell == alg.sum_of(b, a)
+
+    def test_rows_are_the_symmetric_triangle(self, small_corpus):
+        for alg in small_corpus:
+            self.assert_rows_match_triangle(alg)
+
+    def test_invalid_table(self, chain5):
+        broken = chain5.with_entry(1, 3, None).with_entry(2, 2, 1)
+        assert not ea.validate(broken).valid
+        self.assert_rows_match_triangle(broken)
+
+    def test_edited_copy_starts_fresh(self, boolean3):
+        ea.profile(boolean3)
+        assert sum_rows(boolean3)[1][2] is not None
+        edited = boolean3.with_entry(1, 2, None)
+        assert "sum_rows" not in edited._memo
+        self.assert_rows_match_triangle(edited)
+        assert sum_rows(edited)[1][2] is None and sum_rows(boolean3)[1][2] is not None
 
 
 class TestValidate:

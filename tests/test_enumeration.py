@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import effalg as ea
-from effalg.enumeration import _enumerate_unpruned
+from effalg.enumeration import _enumerate_unpruned, _linearize
 
 # Engine-derived class counts.  Orders 2 and 3 are forced analytically,
 # order 4 is confirmed by the naive oracle below before being frozen, and
@@ -285,6 +285,26 @@ class TestCanonicalForm:
                 assert ea.validate(canon).valid
                 assert ea.canonical_form(canon) == form
                 assert canon.table == m.table
+
+    def test_carriers_beyond_one_byte_are_refused(self):
+        # 255 codes an undefined cell, so the top of boolean:8 (index 255)
+        # would collide with it; refuse before any relabeling is tried.
+        b8 = ea.boolean_algebra(8)
+        assert b8.size == 256
+        with pytest.raises(ValueError, match="at most 255 elements"):
+            _linearize(b8, range(256), range(256), None)
+        for fn in (ea.canonicalize, ea.canonical_form):
+            with pytest.raises(ValueError, match="at most 255 elements"):
+                fn(b8)
+        assert "sum_rows" not in b8._memo
+
+    def test_largest_one_byte_carrier_linearizes(self):
+        # the chain {0, ..., 254}, beyond the chain constructor's range
+        c = ea.FiniteEffectAlgebra.from_entries(
+            255, 254, {(a, b): a + b for a in range(255) for b in range(a, 255 - a)})
+        form = _linearize(c, range(255), range(255), None)
+        assert len(form) == 255 * 256 // 2
+        assert form[254] == 254 and form[-1] == 255  # 0 + 254, then 254 + 254
 
 
 class TestSearch:
