@@ -125,6 +125,10 @@ class FiniteEffectAlgebra:
         return cls(size, one, tuple(cells), tuple(labels or ()), name)
 
     def sum_of(self, a: int, b: int) -> int | None:
+        """a + b, or ``None`` where undefined; ``ValueError`` off the carrier."""
+        n = self.size
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"element pair ({a}, {b}) out of range for carrier of size {n}")
         return sum_rows(self)[a][b]
 
     def defined(self, a: int, b: int) -> bool:

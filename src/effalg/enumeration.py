@@ -22,7 +22,12 @@ The generator fills partial sum tables cell by cell (row-major over pairs
 
 Isomorphisms fix 0 and 1 by definition, and the table alone determines
 the unit (the top of the induced order), so the canonical form ranges
-over all carrier permutations fixing 0 only.
+over all carrier permutations fixing 0 only.  It is the lexicographically
+least relabeled table.  A branch and bound finds it exactly: it hands out
+new labels in order and cuts a partial labeling only when row 1 of the
+relabeled table, the first row that is not the same for every labeling,
+is already provably greater than the best table found, so no least
+labeling is ever cut.
 
 The search tree may be partitioned at the root across worker processes;
 the merged, canonical-form-sorted output is identical to the sequential
@@ -96,20 +101,57 @@ def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int],
 def canonicalize(alg: FiniteEffectAlgebra) -> tuple[bytes, FiniteEffectAlgebra]:
     """Canonical form and the canonically relabeled model.
 
+    The form is the lexicographically least linearization over every
+    carrier permutation pi fixing 0, and the model is relabeled along the
+    least such pi (the first in ``itertools.permutations`` order).  A
+    depth-first search hands out the new labels 1, 2, ..., n-1 in turn and
+    keeps the least linearization ``best`` found so far.  Row 0 of every
+    relabeled table is 0, 1, ..., n-1, so row 1 leads the comparison: its
+    cell (1, b) is decided once labels 1 and b are handed out and the sum
+    is undefined (255) or already labeled, and is otherwise at least the
+    count of labels handed out.  A subtree is cut only when a decided cell
+    or that lower bound exceeds ``best`` after an equal prefix, so every
+    leaf below it is worse than ``best``; every minimising pi is reached,
+    and the result equals that of trying all (n-1)! relabelings.
+
     Carriers of more than 255 elements raise ``ValueError`` (see ``_linearize``).
     """
     n = alg.size
-    best: bytes | None = None
-    best_pi: tuple[int, ...] | None = None
+    best = _linearize(alg, range(n), range(n), None)  # the identity bounds the search
+    assert best is not None
+    best_pi = list(range(n))
+    rows = sum_rows(alg)
+    pi = [0] + [-1] * (n - 1)
     inv = [0] * n
-    for perm in itertools.permutations(range(1, n)):
-        pi = (0, *perm)
-        for i, v in enumerate(pi):
-            inv[v] = i
-        lin = _linearize(alg, pi, inv, best)
-        if lin is not None and (best is None or lin < best):
-            best, best_pi = lin, pi
-    assert best is not None and best_pi is not None
+
+    def row_one_exceeds_best(k: int) -> bool:
+        # labels 0..k are handed out; compare cells (1, 1..k) with best
+        row = rows[inv[1]]
+        for b in range(1, k + 1):
+            v = row[inv[b]]
+            code = 255 if v is None else pi[v]
+            ref = best[n + b - 1]
+            if code < 0:
+                return k + 1 > ref
+            if code != ref:
+                return code > ref
+        return False
+
+    def dfs(k: int) -> None:
+        nonlocal best, best_pi
+        if k == n:
+            lin = _linearize(alg, pi, inv, best)
+            if lin is not None and (lin < best or pi < best_pi):
+                best, best_pi = lin, pi[:]
+            return
+        for y in range(1, n):
+            if pi[y] < 0:
+                pi[y], inv[k] = k, y
+                if not row_one_exceeds_best(k):
+                    dfs(k + 1)
+                pi[y] = -1
+
+    dfs(1)
     return best, permute(alg, best_pi)
 
 

@@ -78,10 +78,12 @@ def atoms_below(alg: FiniteEffectAlgebra, a: int) -> tuple[int, ...]:
 def is_principal(alg: FiniteEffectAlgebra, a: int) -> bool:
     """b + c <= a whenever b, c <= a and b + c is defined (b = c allowed)."""
     order = derive_order(alg)
+    rows = sum_rows(alg)
     below = list(order.below(a))
     for i, b in enumerate(below):
+        row = rows[b]
         for c in below[i:]:
-            s = alg.sum_of(b, c)
+            s = row[c]
             if s is not None and not order.le(s, a):
                 return False
     return True

@@ -172,6 +172,18 @@ class TestOrthogonality:
             assert all(ea.is_orthogonal(alg, 0, x) for x in range(alg.size))
 
 
+class TestOutOfCarrierIndices:
+    @pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "size"])
+    def test_readers_reject_indices_off_the_carrier(self, bad):
+        c3 = ea.chain(3)
+        assert c3.size == 4
+        readers = (c3.sum_of, c3.defined, lambda a, b: ea.is_orthogonal(c3, a, b))
+        for read in readers:
+            for a, b in ((bad, 0), (0, bad), (bad, bad)):
+                with pytest.raises(ValueError, match="out of range for carrier of size 4"):
+                    read(a, b)
+
+
 class TestMultisetSum:
     def test_chain4_examples(self):
         c4 = ea.chain(4)

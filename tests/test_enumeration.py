@@ -1,10 +1,12 @@
 """The enumeration engine against independent oracles, plus determinism."""
 
 import itertools
+import random
 
 import pytest
 
 import effalg as ea
+from effalg import enumeration
 from effalg.enumeration import _enumerate_unpruned, _linearize
 
 # Engine-derived class counts.  Orders 2 and 3 are forced analytically,
@@ -147,6 +149,33 @@ def backtracking_naive_classes(n):
     return keys
 
 
+def brute_force_canonicalize(alg):
+    """The reference labelling: every one of the (n-1)! relabelings fixing 0.
+
+    Keeps the first least linearization in ``itertools.permutations`` order,
+    so the relabeled model (labels included) is pinned, not only the form.
+    """
+    n = alg.size
+    best = best_pi = None
+    inv = [0] * n
+    for perm in itertools.permutations(range(1, n)):
+        pi = (0, *perm)
+        for i, v in enumerate(pi):
+            inv[v] = i
+        lin = _linearize(alg, pi, inv, best)
+        if lin is not None and (best is None or lin < best):
+            best, best_pi = lin, pi
+    return best, ea.permute(alg, best_pi)
+
+
+def assert_labelled_as_brute_force(alg):
+    form, canon = ea.canonicalize(alg)
+    ref_form, ref = brute_force_canonicalize(alg)
+    assert form == ref_form, alg.name
+    assert (canon.one, canon.table, canon.labels, canon.name) == \
+        (ref.one, ref.table, ref.labels, ref.name), alg.name
+
+
 class TestForcedTinyOrders:
     def test_order2_unique(self):
         models = ea.enumerate_up_to_iso(2)
@@ -276,15 +305,47 @@ class TestCanonicalForm:
         assert ea.canonical_form(ea.chain(3)) != ea.canonical_form(ea.boolean_algebra(2))
 
     def test_canonicalize_fixes_zero_and_preserves_class(self):
-        # brute force is the reference: every emitted model is its own
-        # canonical representative, so callers may compare models directly
+        # every emitted model is its own canonical representative, so
+        # callers may compare models directly
         for n in range(2, 7):
             for m in ea.enumerate_up_to_iso(n):
                 form, canon = ea.canonicalize(m)
+                assert (form, canon) == brute_force_canonicalize(m)
                 assert canon.size == m.size
                 assert ea.validate(canon).valid
                 assert ea.canonical_form(canon) == form
                 assert canon.table == m.table
+
+    def test_branch_and_bound_matches_brute_force(self):
+        # Labelled models with automorphisms pin which least relabeling wins.
+        rng = random.Random(8)
+        models = [m for n in range(2, 8) for m in ea.enumerate_up_to_iso(n)]
+        named = [ea.boolean_algebra(3), ea.even_subset_omp(4),
+                 ea.horizontal_sum(ea.boolean_algebra(2), ea.chain(3))]
+        models += named
+        for m in ea.enumerate_up_to_iso(8) + named:
+            for _ in range(3):
+                perm = list(range(1, m.size))
+                rng.shuffle(perm)
+                models.append(ea.permute(m, (0, *perm)))
+        for m in models:
+            assert_labelled_as_brute_force(m)
+
+    def test_matches_brute_force_on_unpruned_leaves(self, monkeypatch):
+        # the unpruned engine labels every leaf of every involution stratum,
+        # most of them far from canonical
+        leaves = []
+        labelled = enumeration.canonicalize
+
+        def checked(alg):
+            leaves.append(alg)
+            assert_labelled_as_brute_force(alg)
+            return labelled(alg)
+
+        monkeypatch.setattr(enumeration, "canonicalize", checked)
+        for n in range(2, 7):
+            _enumerate_unpruned(n)
+        assert len(leaves) > 100
 
     def test_carriers_beyond_one_byte_are_refused(self):
         # 255 codes an undefined cell, so the top of boolean:8 (index 255)

@@ -2,7 +2,8 @@
 
 A fact belongs to one object: an equal table under other labels or another
 name gets its own.  An analysed model still behaves like a plain value, one
-report derives each fact once, and one enumeration labels each class once.
+report derives each fact once, and one enumeration labels each class once,
+trying few relabelings per class.
 """
 
 import pickle
@@ -126,3 +127,12 @@ def test_enumerate_canonicalizes_each_class_once(capsys):
     classes = sum(int(k) for k in re.findall(r"^order \d+: (\d+) models$", out, re.M))
     assert classes == 19
     assert counts[enumeration.canonicalize.__code__] == classes
+
+
+def test_labelling_tries_few_relabelings_per_class():
+    # Each order-8 class is labelled once, trying at most 200 relabelings
+    # (brute force tries all 7! = 5,040), and checked once under the identity.
+    models = []
+    counts = _calls_during(lambda: models.extend(enumeration.enumerate_up_to_iso(8)))
+    assert len(models) == 40
+    assert counts[enumeration._linearize.__code__] <= (200 + 1) * len(models)
