@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--out", help="directory for the generated .efa files")
     p.add_argument("--verify-theorems", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--big", action="store_true",
                    help=f"allow orders above {ENUMERATE_PLAIN_LIMIT} (may take many minutes)")
     p.set_defaults(func=cmd_enumerate)
@@ -222,7 +221,7 @@ def cmd_enumerate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     collected = []
     for size in range(2, args.max_size + 1):
-        batch = enumerate_up_to_iso(size, jobs=args.jobs)
+        batch = enumerate_up_to_iso(size)
         print(f"order {size}: {len(batch)} models")
         for i, model in enumerate(batch):
             if out_dir is not None:

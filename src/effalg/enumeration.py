@@ -28,10 +28,6 @@ new labels in order and cuts a partial labeling only when row 1 of the
 relabeled table, the first row that is not the same for every labeling,
 is already provably greater than the best table found, so no least
 labeling is ever cut.
-
-The search tree may be partitioned at the root across worker processes;
-the merged, canonical-form-sorted output is identical to the sequential
-run by construction.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .core import FiniteEffectAlgebra, InvariantViolation, _tri, sum_rows, validate
+from .core import FiniteEffectAlgebra, InvariantViolation, sum_rows, validate
 from .properties import PROFILE_FLAGS, profile
 
 ENUMERATION_CAP = 8
@@ -156,7 +152,13 @@ def canonicalize(alg: FiniteEffectAlgebra) -> tuple[bytes, FiniteEffectAlgebra]:
 
 
 def canonical_form(alg: FiniteEffectAlgebra) -> bytes:
-    """Relabeling-invariant key: equal forms iff isomorphic (for valid tables)."""
+    """Relabeling-invariant key: equal forms iff isomorphic (for valid tables).
+
+    It is meant for enumerated orders.  The cost grows with the automorphism
+    group, which the search does not prune: ``boolean:4`` (16 elements)
+    tries 20,161 relabelings in about 0.75 s, and ``even_subsets:6`` (32
+    elements) ran past 60 s.
+    """
     return canonicalize(alg)[0]
 
 
@@ -226,18 +228,14 @@ class _PermData:
     value_map: tuple[int, ...]  # value relabeling; index n encodes "undefined"
 
 
-def _search_stratum(n: int, sigma: Sequence[int], first_value: int | None = None,
+def _search_stratum(n: int, sigma: Sequence[int],
                     prune: bool = True) -> list[tuple[bytes, FiniteEffectAlgebra]]:
     one = n - 1
-    tri = lambda a, b: _tri(n, a, b) if a <= b else _tri(n, b, a)
-    tab = [_UNKNOWN] * (n * (n + 1) // 2)
+    tab = [_UNKNOWN] * (n * n)  # tab[a*n+b] == tab[b*n+a]: the symmetric sum table
     pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
-    def val(a: int, b: int) -> int:
-        return tab[tri(a, b)]
-
     def place(a: int, b: int, w: int) -> bool:
-        tab[tri(a, b)] = w
+        tab[a * n + b] = tab[b * n + a] = w
         if w >= 0:
             pre[w].append((a, b))
             if a != b:
@@ -245,8 +243,8 @@ def _search_stratum(n: int, sigma: Sequence[int], first_value: int | None = None
         return _consistent(a, b, w)
 
     def unplace(a: int, b: int) -> None:
-        w = tab[tri(a, b)]
-        tab[tri(a, b)] = _UNKNOWN
+        w = tab[a * n + b]
+        tab[a * n + b] = tab[b * n + a] = _UNKNOWN
         if w >= 0:
             pre[w].pop()
             if a != b:
@@ -258,56 +256,56 @@ def _search_stratum(n: int, sigma: Sequence[int], first_value: int | None = None
         if w >= 0:
             for x, y in orients:          # new cell as the inner sum x+y = w
                 for z in range(n):
-                    q = val(w, z)
+                    q = tab[w * n + z]
                     if q < 0:
                         continue
-                    t = val(y, z)
+                    t = tab[y * n + z]
                     if t == _UNDEF:
                         return False
                     if t == _UNKNOWN:
                         continue
-                    r = val(x, t)
+                    r = tab[x * n + t]
                     if r == _UNDEF or (r != _UNKNOWN and r != q):
                         return False
             for p, z in orients:          # new cell as the outer sum (x+y)+z
                 for x, y in pre[p]:
-                    t = val(y, z)
+                    t = tab[y * n + z]
                     if t == _UNDEF:
                         return False
                     if t == _UNKNOWN:
                         continue
-                    r = val(x, t)
+                    r = tab[x * n + t]
                     if r == _UNDEF or (r != _UNKNOWN and r != w):
                         return False
             for y, z in orients:          # new cell as y+z = w
                 for x in range(n):
-                    p = val(x, y)
+                    p = tab[x * n + y]
                     if p < 0:
                         continue
-                    q = val(p, z)
+                    q = tab[p * n + z]
                     if q < 0:
                         continue
-                    r = val(x, w)
+                    r = tab[x * n + w]
                     if r == _UNDEF or (r != _UNKNOWN and r != q):
                         return False
             for x, t in orients:          # new cell as x+(y+z) = w
                 for y, z in pre[t]:
-                    p = val(x, y)
+                    p = tab[x * n + y]
                     if p < 0:
                         continue
-                    q = val(p, z)
+                    q = tab[p * n + z]
                     if q >= 0 and q != w:
                         return False
         else:
             for y, z in orients:          # undefined cell forced defined as y+z
                 for x in range(n):
-                    p = val(x, y)
-                    if p >= 0 and val(p, z) >= 0:
+                    p = tab[x * n + y]
+                    if p >= 0 and tab[p * n + z] >= 0:
                         return False
             for x, t in orients:          # undefined cell forced defined as x+(y+z)
                 for y, z in pre[t]:
-                    p = val(x, y)
-                    if p >= 0 and val(p, z) >= 0:
+                    p = tab[x * n + y]
+                    if p >= 0 and tab[p * n + z] >= 0:
                         return False
         return True
 
@@ -346,7 +344,7 @@ def _search_stratum(n: int, sigma: Sequence[int], first_value: int | None = None
         entries = {}
         for a in range(n):
             for b in range(a, n):
-                w = tab[tri(a, b)]
+                w = tab[a * n + b]
                 if w >= 0:
                     entries[(a, b)] = w
         model = FiniteEffectAlgebra.from_entries(n, one, entries)
@@ -375,10 +373,7 @@ def _search_stratum(n: int, sigma: Sequence[int], first_value: int | None = None
             emit()
             return
         a, b = free[i]
-        values = domains[i]
-        if i == 0 and first_value is not None:
-            values = [first_value]
-        for w in values:
+        for w in domains[i]:
             if place(a, b, w):
                 avals[i] = w
                 keep: list[_PermData] = []
@@ -398,46 +393,17 @@ def _search_stratum(n: int, sigma: Sequence[int], first_value: int | None = None
     return found
 
 
-def _stratum_specs(n: int) -> list[tuple[int, int | None]]:
-    """(pair count, root cell value or None) tasks covering the whole search."""
-    specs: list[tuple[int, int | None]] = []
-    for pairs in range((n - 2) // 2 + 1):
-        sigma = _canonical_sigma(n, pairs)
-        free = [(a, b) for a in range(1, n - 1) for b in range(a, n - 1) if sigma[a] != b]
-        if not free:
-            specs.append((pairs, None))
-        else:
-            a, b = free[0]
-            for w in [c for c in range(1, n - 1) if c != a and c != b] + [_UNDEF]:
-                specs.append((pairs, w))
-    return specs
-
-
-def _run_task(args: tuple[int, int, int | None]) -> list[tuple[bytes, FiniteEffectAlgebra]]:
-    n, pairs, first_value = args
-    return _search_stratum(n, _canonical_sigma(n, pairs), first_value)
-
-
-def enumerate_up_to_iso(n: int, jobs: int = 1) -> list[FiniteEffectAlgebra]:
+def enumerate_up_to_iso(n: int) -> list[FiniteEffectAlgebra]:
     """All effect algebras on n elements, one canonical model per class.
 
-    Output is sorted by canonical form and identical for any ``jobs``.
-    Each model is its own canonical representative (equal tables iff isomorphic).
+    Output is sorted by canonical form, and each model is its own canonical
+    representative (equal tables iff isomorphic).
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration cap exceeded: need 2 <= n <= {ENUMERATION_CAP}")
-    tasks = [(n, pairs, fv) for pairs, fv in _stratum_specs(n)]
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=jobs) as pool:
-            chunks = pool.map(_run_task, tasks)
-    else:
-        chunks = [_run_task(t) for t in tasks]
-
     by_form: dict[bytes, FiniteEffectAlgebra] = {}
-    for chunk in chunks:
-        for form, model in chunk:
+    for pairs in range((n - 2) // 2 + 1):
+        for form, model in _search_stratum(n, _canonical_sigma(n, pairs)):
             by_form.setdefault(form, model)
     forms = sorted(by_form)
     ordered = [replace(by_form[f], name=f"enum:{n}:{i}") for i, f in enumerate(forms)]

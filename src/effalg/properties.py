@@ -290,6 +290,17 @@ def is_disjunctive(alg: FiniteEffectAlgebra) -> Decision:
     return Decision(True)
 
 
+# Bounds on the orthogonal-system scan: its memo entries and its nesting
+# depth (the length of the system being extended).  chain:64 needs 403,091
+# states and nests 64 deep; both grow with the longest chain of the model.
+_SCAN_MAX_STATES = 1 << 21
+_SCAN_MAX_DEPTH = 256
+
+
+class ScanBudgetExceeded(ValueError):
+    """The orthogonal-system scan of a model would pass one of its bounds."""
+
+
 @dataclass(frozen=True)
 class OrthoScan:
     orthocomplete: Decision
@@ -324,6 +335,10 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
     first in the same order, and a repeated key names a subtree that was
     explored in full when the key first came up, so the first witness is
     the one an unmemoised walk finds.
+
+    Past ``_SCAN_MAX_STATES`` memo entries or ``_SCAN_MAX_DEPTH`` nested
+    elements the scan raises ``ScanBudgetExceeded``; under both bounds it
+    is exactly the unbounded scan.
     """
     order = derive_order(alg)
     up, down = order.up, order.down
@@ -343,11 +358,18 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
                 return u
         return None
 
+    scan = f"the orthogonal-system scan of {alg.name or f'a {n}-element model'}"
+
     def extend(min_v: int, total: int, psums: int, ub: int) -> int:
         key = (min_v, psums)
         found = memo.get(key)
         if found is not None:
             return found
+        # this call and each unfinished caller will be a memo entry too
+        if len(memo) + len(stack) >= _SCAN_MAX_STATES:
+            raise ScanBudgetExceeded(f"{scan} exceeds its state budget of {_SCAN_MAX_STATES}")
+        if len(stack) > _SCAN_MAX_DEPTH:
+            raise ScanBudgetExceeded(f"{scan} exceeds its nesting bound of {_SCAN_MAX_DEPTH}")
         found = 0
         total_row = rows[total]
         cands = partners[total]

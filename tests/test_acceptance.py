@@ -5,9 +5,13 @@ timings.  Every tolerance and time budget is pinned here; nothing defers
 to later calibration.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import effalg as ea
 from effalg.cli import main as cli_main
@@ -265,24 +269,31 @@ def test_criterion_7_property_core_suite(enumerated_le5):
             assert cls.omp == pairwise
 
 
-def test_criterion_8_determinism(tmp_path, capsys):
+def _enumerate_in_fresh_interpreter(out_dir, hash_seed: str):
+    src = str(Path(ea.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "effalg", "enumerate", "--max-size", "5", "--out", str(out_dir)],
+        env=env, capture_output=True, timeout=60)
+
+
+def test_criterion_8_determinism(tmp_path):
     with criterion("8 enumeration determinism", 60.0):
-        dir1, dir4 = tmp_path / "jobs1", tmp_path / "jobs4"
-        code1 = cli_main(["enumerate", "--max-size", "5", "--jobs", "1", "--out", str(dir1)])
-        out1 = capsys.readouterr().out
-        code4 = cli_main(["enumerate", "--max-size", "5", "--jobs", "4", "--out", str(dir4)])
-        out4 = capsys.readouterr().out
-        assert code1 == 0 and code4 == 0
-        assert out1 == out4
+        dir1, dir2 = tmp_path / "hashseed1", tmp_path / "hashseed2"
+        run1 = _enumerate_in_fresh_interpreter(dir1, "1")
+        run2 = _enumerate_in_fresh_interpreter(dir2, "2")
+        assert run1.returncode == run2.returncode == 0, run1.stderr + run2.stderr
+        assert run1.stdout == run2.stdout and run1.stdout
         names1 = sorted(p.name for p in dir1.glob("*.efa"))
-        names4 = sorted(p.name for p in dir4.glob("*.efa"))
-        assert names1 == names4 and names1
+        names2 = sorted(p.name for p in dir2.glob("*.efa"))
+        assert names1 == names2 and names1
         for name in names1:
-            assert (dir1 / name).read_bytes() == (dir4 / name).read_bytes()
+            assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes()
         # identical sorted canonical-form sets
         forms1 = sorted(ea.canonical_form(ea.load(dir1 / n)) for n in names1)
-        forms4 = sorted(ea.canonical_form(ea.load(dir4 / n)) for n in names4)
-        assert forms1 == forms4
+        forms2 = sorted(ea.canonical_form(ea.load(dir2 / n)) for n in names2)
+        assert forms1 == forms2
 
 
 def test_criterion_9_orthogonal_scan_on_chain48():

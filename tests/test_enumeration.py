@@ -227,7 +227,7 @@ class TestEngineInvariants:
             assert forms == sorted(forms)  # output sorted by canonical form
 
     def test_pruned_equals_unpruned(self):
-        for n in range(2, 7):
+        for n in range(2, 8):
             a = [ea.canonical_form(m) for m in ea.enumerate_up_to_iso(n)]
             b = [ea.canonical_form(m) for m in _enumerate_unpruned(n)]
             assert a == b
@@ -272,12 +272,6 @@ class TestEngineInvariants:
             ea.enumerate_up_to_iso(9)
         with pytest.raises(ValueError):
             ea.enumerate_up_to_iso(1)
-
-    def test_parallel_matches_sequential(self):
-        for n in (4, 5):
-            seq = ea.enumerate_up_to_iso(n, jobs=1)
-            par = ea.enumerate_up_to_iso(n, jobs=4)
-            assert [m.table for m in seq] == [m.table for m in par]
 
 
 class TestCanonicalForm:

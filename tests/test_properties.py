@@ -226,6 +226,21 @@ class TestOrthocompleteness:
         # memo entries, the root included; the unmemoised walk visits 43,820
         assert _ortho_scan(ea.chain(32)).states == 7207
 
+    @pytest.mark.parametrize("states, depth, refused", [
+        (7207, 32, None), (7206, 32, "state budget of 7206"), (7207, 31, "nesting bound of 31")],
+        ids=["at-both", "states-one-short", "depth-one-short"])
+    def test_scan_bounds_are_exact(self, states, depth, refused, monkeypatch):
+        # chain:32 needs 7,207 states and nests 32 deep
+        monkeypatch.setattr(properties, "_SCAN_MAX_STATES", states)
+        monkeypatch.setattr(properties, "_SCAN_MAX_DEPTH", depth)
+        alg = ea.chain(32)
+        assert "_ortho_scan" not in alg._memo
+        if refused is None:
+            assert _ortho_scan(alg).systems_checked == 43820
+        else:
+            with pytest.raises(properties.ScanBudgetExceeded, match=refused):
+                _ortho_scan(alg)
+
     def test_memoised_scan_matches_plain_walk(self, boolean3, even6):
         models = [m for n in range(2, 7) for m in ea.enumerate_up_to_iso(n)]
         models += [boolean3, even6, ea.horizontal_sum(ea.boolean_algebra(2), ea.chain(3))]
