@@ -271,6 +271,8 @@ _REFUTATIONS = {
 def cmd_witness(args) -> int:
     text = not args.json
     if args.name in _REFUTATIONS:
+        if args.candidates < 1:
+            raise ValueError("--candidates must be at least 1")
         code, payload = _run_refutations(
             _REFUTATIONS[args.name], random.Random(args.seed), args.candidates, text)
     elif args.name == "ex38":

@@ -14,9 +14,10 @@ The induced order is a <= b iff b = a + c for some c; 0 is bottom, 1 is
 top, and the witness c is unique.  a and b are orthogonal iff D(a, b),
 equivalently iff a <= b'.
 
-Tables are stored upper-triangular over pairs (a, b) with a <= b, so A1 is
-a property of the storage rather than something to check.  ``None`` marks
-an undefined sum; undefined is never encoded as a sentinel element index.
+Tables are stored as the full symmetric n×n table of sums, and the
+constructor refuses a table that is not symmetric, so A1 is a property of
+every model rather than something to check.  ``None`` marks an undefined
+sum; undefined is never encoded as a sentinel element index.
 Element 0 is always stored at index 0; the unit index is declared.
 
 Models are immutable and hashable; every operation in this module is a
@@ -52,11 +53,6 @@ class InvariantViolation(RuntimeError):
     """
 
 
-def _tri(n: int, a: int, b: int) -> int:
-    # index of the (a, b) cell, a <= b, in the row-major upper triangle
-    return a * n - a * (a - 1) // 2 + (b - a)
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -68,15 +64,15 @@ def _bits(mask: int) -> Iterator[int]:
 class FiniteEffectAlgebra:
     """A finite partial-sum table with designated zero (index 0) and unit.
 
-    ``table`` is the upper triangle in row-major order: the cell for the
-    unordered pair (a, b) with a <= b holds the sum a + b, or ``None``.
+    ``table`` is the symmetric sum table: ``table[a][b]`` and
+    ``table[b][a]`` both hold the sum a + b, or ``None``.
     ``labels`` and ``name`` are presentation only and do not take part in
     equality or hashing.
     """
 
     size: int
     one: int
-    table: tuple[int | None, ...]
+    table: tuple[tuple[int | None, ...], ...]
     labels: tuple[str, ...] = field(default=(), compare=False)
     name: str = field(default="", compare=False)
     _memo: dict[str, Any] = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -87,11 +83,17 @@ class FiniteEffectAlgebra:
             raise ValueError("an effect algebra needs at least the two elements 0 and 1")
         if not 1 <= self.one < n:
             raise ValueError(f"unit index {self.one} out of range (zero is pinned to 0)")
-        if len(self.table) != n * (n + 1) // 2:
-            raise ValueError("table length does not match the carrier size")
-        for v in self.table:
-            if v is not None and not 0 <= v < n:
-                raise ValueError(f"table entry {v!r} out of range")
+        table = self.table
+        if not isinstance(table, tuple) or len(table) != n or any(
+                not isinstance(row, tuple) or len(row) != n for row in table):
+            raise ValueError(f"the sum table must be a tuple of {n} row tuples of {n} cells")
+        for a, row in enumerate(table):
+            # one column at a time: a transposed copy would double peak memory
+            if tuple(r[a] for r in table) != row:
+                raise ValueError(f"the sum table is not symmetric in row {a}")
+            for v in row:
+                if v is not None and not 0 <= v < n:
+                    raise ValueError(f"table entry {v!r} out of range")
         if self.labels and len(self.labels) != n:
             raise ValueError("labels must cover the whole carrier")
 
@@ -113,48 +115,46 @@ class FiniteEffectAlgebra:
             items: Iterable[tuple[int, int, int]] = ((a, b, c) for (a, b), c in entries.items())
         else:
             items = entries
-        cells: list[int | None] = [None] * (size * (size + 1) // 2)
+        rows: list[list[int | None]] = [[None] * size for _ in range(size)]
         for a, b, c in items:
             if not (0 <= a < size and 0 <= b < size and 0 <= c < size):
                 raise ValueError(f"entry ({a},{b})={c} out of range for size {size}")
-            lo, hi = (a, b) if a <= b else (b, a)
-            k = _tri(size, lo, hi)
-            if cells[k] is not None and cells[k] != c:
-                raise ValueError(f"conflicting sums for pair ({lo},{hi}): {cells[k]} vs {c}")
-            cells[k] = c
-        return cls(size, one, tuple(cells), tuple(labels or ()), name)
+            prev = rows[a][b]
+            if prev is not None and prev != c:
+                lo, hi = (a, b) if a <= b else (b, a)
+                raise ValueError(f"conflicting sums for pair ({lo},{hi}): {prev} vs {c}")
+            rows[a][b] = rows[b][a] = c
+        return cls(size, one, tuple(map(tuple, rows)), tuple(labels or ()), name)
 
     def sum_of(self, a: int, b: int) -> int | None:
         """a + b, or ``None`` where undefined; ``ValueError`` off the carrier."""
         n = self.size
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"element pair ({a}, {b}) out of range for carrier of size {n}")
-        return sum_rows(self)[a][b]
+        return self.table[a][b]
 
     def defined(self, a: int, b: int) -> bool:
         return self.sum_of(a, b) is not None
 
     def defined_pairs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (a, b, a + b) over defined cells with a <= b, in index order."""
-        n = self.size
-        k = 0
-        for a in range(n):
-            for b in range(a, n):
-                v = self.table[k]
+        for a, row in enumerate(self.table):
+            for b in range(a, self.size):
+                v = row[b]
                 if v is not None:
                     yield a, b, v
-                k += 1
 
     def entries(self) -> dict[tuple[int, int], int]:
         return {(a, b): c for a, b, c in self.defined_pairs()}
 
     def with_entry(self, a: int, b: int, value: int | None) -> "FiniteEffectAlgebra":
         """Copy with one cell overwritten (``None`` deletes).  For mutation tests."""
-        if a > b:
-            a, b = b, a
-        cells = list(self.table)
-        cells[_tri(self.size, a, b)] = value
-        return replace(self, table=tuple(cells))
+        n = self.size
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"element pair ({a}, {b}) out of range for carrier of size {n}")
+        rows = list(map(list, self.table))
+        rows[a][b] = rows[b][a] = value
+        return replace(self, table=tuple(map(tuple, rows)))
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
@@ -179,20 +179,6 @@ def per_model(fn: Callable[[FiniteEffectAlgebra], Any]) -> Callable[[FiniteEffec
     return memoised
 
 
-@per_model
-def sum_rows(alg: FiniteEffectAlgebra) -> tuple[tuple[int | None, ...], ...]:
-    """The full symmetric sum table: ``sum_rows(alg)[a][b]`` is a + b or ``None``.
-
-    Every reader of the partial sum goes through these rows; only the code
-    that builds or edits a table touches the triangle.
-    """
-    n = alg.size
-    rows: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for a, b, c in alg.defined_pairs():
-        rows[a][b] = rows[b][a] = c
-    return tuple(map(tuple, rows))
-
-
 @dataclass(frozen=True)
 class Violation:
     axiom: str  # "A1" | "A2" | "A3" | "A4"
@@ -213,13 +199,13 @@ class ValidationReport:
 def validate(alg: FiniteEffectAlgebra) -> ValidationReport:
     """Check A2, A3 and A4 and report every violation found.
 
-    A1 cannot be violated: the triangular storage is symmetric by
-    construction (conflicting orientations are rejected when a table is
-    built or parsed).  Invalid tables produce a report, never an exception.
+    A1 cannot be violated: the model's constructor refuses a table that is
+    not symmetric (and conflicting orientations are rejected when a table
+    is built or parsed).  Invalid tables produce a report, never an exception.
     """
     n = alg.size
     one = alg.one
-    rows = sum_rows(alg)
+    rows = alg.table
     lab = alg.label
     violations: list[Violation] = []
 
@@ -346,7 +332,7 @@ def derive_order(alg: FiniteEffectAlgebra) -> OrderRelation:
     if up[0] != full or up[one] != 1 << one or down[one] != full:
         raise InvariantViolation("0 and 1 are not the bounds of the induced order")
 
-    supp = [row.index(one) for row in sum_rows(alg)]
+    supp = [row.index(one) for row in alg.table]
     for a in range(n):
         if supp[supp[a]] != a:
             raise InvariantViolation("orthosupplement is not an involution")

@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .core import FiniteEffectAlgebra, InvariantViolation, sum_rows, validate
+from .core import FiniteEffectAlgebra, InvariantViolation, validate
 from .properties import PROFILE_FLAGS, profile
 
 ENUMERATION_CAP = 8
@@ -75,7 +75,7 @@ def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int],
     n = alg.size
     if n > 255:
         raise ValueError(f"canonical forms cover carriers of at most 255 elements, not {n}")
-    rows = sum_rows(alg)
+    rows = alg.table
     out = bytearray()
     pos = 0
     for a in range(n):
@@ -116,7 +116,7 @@ def canonicalize(alg: FiniteEffectAlgebra) -> tuple[bytes, FiniteEffectAlgebra]:
     best = _linearize(alg, range(n), range(n), None)  # the identity bounds the search
     assert best is not None
     best_pi = list(range(n))
-    rows = sum_rows(alg)
+    rows = alg.table
     pi = [0] + [-1] * (n - 1)
     inv = [0] * n
 
@@ -341,16 +341,12 @@ def _search_stratum(n: int, sigma: Sequence[int],
     found: list[tuple[bytes, FiniteEffectAlgebra]] = []
 
     def emit() -> None:
-        entries = {}
-        for a in range(n):
-            for b in range(a, n):
-                w = tab[a * n + b]
-                if w >= 0:
-                    entries[(a, b)] = w
-        model = FiniteEffectAlgebra.from_entries(n, one, entries)
+        table = tuple(tuple(None if w < 0 else w for w in tab[a * n:(a + 1) * n])
+                      for a in range(n))
+        model = FiniteEffectAlgebra(n, one, table)
         if not validate(model).valid:
             raise RuntimeError(
-                f"enumeration produced an invalid table (engine defect): {entries}")
+                f"enumeration produced an invalid table (engine defect): {model.entries()}")
         found.append(canonicalize(model))
 
     def walk(pd: _PermData, depth: int) -> int:

@@ -37,7 +37,6 @@ from .core import (
     minimal_upper_bounds,
     per_model,
     require_valid,
-    sum_rows,
     supremum,
 )
 
@@ -78,7 +77,7 @@ def atoms_below(alg: FiniteEffectAlgebra, a: int) -> tuple[int, ...]:
 def is_principal(alg: FiniteEffectAlgebra, a: int) -> bool:
     """b + c <= a whenever b, c <= a and b + c is defined (b = c allowed)."""
     order = derive_order(alg)
-    rows = sum_rows(alg)
+    rows = alg.table
     below = list(order.below(a))
     for i, b in enumerate(below):
         row = rows[b]
@@ -293,8 +292,10 @@ def is_disjunctive(alg: FiniteEffectAlgebra) -> Decision:
 # Bounds on the orthogonal-system scan: its memo entries and its nesting
 # depth (the length of the system being extended).  chain:64 needs 403,091
 # states and nests 64 deep; both grow with the longest chain of the model.
+# The depth bound is that of chain:64, the deepest built-in model: a longer
+# chain passes it at once, long before it would pass the state budget.
 _SCAN_MAX_STATES = 1 << 21
-_SCAN_MAX_DEPTH = 256
+_SCAN_MAX_DEPTH = 64
 
 
 class ScanBudgetExceeded(ValueError):
@@ -344,7 +345,7 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
     up, down = order.up, order.down
     n = alg.size
     full = (1 << n) - 1
-    rows = sum_rows(alg)
+    rows = alg.table
     # the nonzero partners of each element, ascending: a state visits only these
     partners = [[v for v in range(1, n) if row[v] is not None] for row in rows]
     oc_witness: list[tuple[int, ...]] = []

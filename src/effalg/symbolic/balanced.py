@@ -177,6 +177,8 @@ def two_minimal_upper_bounds(depth: int = 20) -> UpperBoundAnalysis:
     status to ``depth``, minimality, incomparability, absence of a least
     element) is then re-verified through ``le`` rather than trusted.
     """
+    if depth < 1:
+        raise ValueError("depth must be at least 1 to check the upper bounds")
     system = [pairing_system_member(i) for i in range(1, depth + 1)]
 
     ubs: list[BalancedElement] = []

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .core import FiniteEffectAlgebra, derive_order, sum_rows
+from .core import FiniteEffectAlgebra, derive_order
 from .enumeration import enumerate_up_to_iso
 from .properties import (
     classify,
@@ -103,7 +103,7 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
 
     # cancellation: quantified over all a, b, c with a⊕b and a⊕c defined.
     cancel: CheckResult | None = None
-    for a, row in enumerate(sum_rows(alg)):
+    for a, row in enumerate(alg.table):
         partners = [(b, ab) for b, ab in enumerate(row) if ab is not None]
         for b, ab in partners:
             for c, ac in partners:

@@ -41,9 +41,10 @@ def criterion(name: str, budget_seconds: float):
 # Each mutation of chain(4) (elements 0..4, unit 4; nonzero cells
 # 1+1=2, 1+2=3, 1+3=4, 2+2=4) and boolean(2) (subset masks 0..3, unit 3;
 # nonzero cell 1+2=3) is a single-entry edit, annotated with the axiom it
-# breaks and a hand derivation.  Commutativity (A1) is structural in the
-# triangular storage, so seeded single-entry mutations can only surface A2,
-# A3 or A4.
+# breaks and a hand derivation.  Commutativity (A1) is structural: an
+# edit writes both cells of the symmetric table, and the constructor
+# refuses an asymmetric one, so seeded single-entry mutations can only
+# surface A2, A3 or A4.
 
 CHAIN4_MUTATIONS = [
     # (cell a, b, new value or None, expected axiom, reason)

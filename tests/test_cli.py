@@ -150,6 +150,16 @@ class TestOrthogonalScanBounds:
         assert code == 2
         assert "nesting bound of 16" in err and "Traceback" not in err
 
+    def test_long_chain_exits_2_at_the_default_nesting_bound(self, tmp_path, capsys):
+        # a hand-written 97-element chain, past chain:64, the deepest recipe
+        path = tmp_path / "c96.efa"
+        path.write_text("elements: 97\none: 96\n" + "".join(
+            f"sum: {a} {b} {a + b}\n" for a in range(1, 97) for b in range(a, 97 - a)),
+            encoding="utf-8")
+        code, out, err = run(capsys, "props", str(path))
+        assert code == 2 and out == ""
+        assert "nesting bound of 64" in err and "Traceback" not in err
+
 
 class TestGoldenReports:
     @pytest.mark.parametrize("maker,golden", [
@@ -290,6 +300,17 @@ class TestWitnessCommand:
         code, out, _ = run(capsys, "witness", name, "--candidates", "10", *flags)
         assert code == 0
         assert out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("args", [
+        ("ex39", "--depth", "0"),
+        ("ex39", "--depth", "-3"),
+        ("ex34", "--candidates", "0"),
+        ("ex34", "--candidates", "-4"),
+    ])
+    def test_options_that_certify_nothing_exit_2(self, args, capsys):
+        code, out, err = run(capsys, "witness", *args)
+        assert code == 2 and out == ""
+        assert "at least 1" in err and "Traceback" not in err
 
     def test_unknown_witness_exits_2(self, capsys):
         code, _, _ = run(capsys, "witness", "ex99")

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import effalg as ea
-from effalg.core import FiniteEffectAlgebra, sum_rows
+from effalg.core import FiniteEffectAlgebra
 
 from conftest import even_subset_index
 
@@ -40,34 +40,49 @@ class TestConstruction:
     def test_with_entry_roundtrip(self, chain5):
         assert chain5.with_entry(1, 1, None).sum_of(1, 1) is None
         assert chain5.with_entry(1, 1, 2) == chain5
+        with pytest.raises(ValueError, match="out of range"):
+            chain5.with_entry(-1, 1, None)  # would wrap to the last row
 
 
-class TestSumRows:
+class TestSymmetricTable:
     @staticmethod
-    def assert_rows_match_triangle(alg):
-        rows = sum_rows(alg)
-        cells = iter(alg.table)
+    def assert_symmetric(alg):
         for a in range(alg.size):
-            for b in range(a, alg.size):
-                cell = next(cells)
-                assert rows[a][b] == rows[b][a] == cell == alg.sum_of(b, a)
+            for b in range(alg.size):
+                assert alg.table[a][b] == alg.table[b][a] == alg.sum_of(b, a)
 
-    def test_rows_are_the_symmetric_triangle(self, small_corpus):
+    def test_table_is_symmetric(self, small_corpus):
         for alg in small_corpus:
-            self.assert_rows_match_triangle(alg)
+            self.assert_symmetric(alg)
 
     def test_invalid_table(self, chain5):
         broken = chain5.with_entry(1, 3, None).with_entry(2, 2, 1)
         assert not ea.validate(broken).valid
-        self.assert_rows_match_triangle(broken)
+        self.assert_symmetric(broken)
+        assert broken.table[3][1] is None and broken.table[2][2] == 1
 
     def test_edited_copy_starts_fresh(self, boolean3):
         ea.profile(boolean3)
-        assert sum_rows(boolean3)[1][2] is not None
+        assert boolean3._memo
         edited = boolean3.with_entry(1, 2, None)
-        assert "sum_rows" not in edited._memo
-        self.assert_rows_match_triangle(edited)
-        assert sum_rows(edited)[1][2] is None and sum_rows(boolean3)[1][2] is not None
+        assert not edited._memo
+        self.assert_symmetric(edited)
+        assert edited.table[1][2] is None and boolean3.table[1][2] is not None
+
+    def test_constructor_refuses_malformed_tables(self, chain5):
+        n, one, table = chain5.size, chain5.one, chain5.table
+        rows = [list(row) for row in table]
+        rows[1][2] = None  # (2, 1) still holds 3
+        lopsided = tuple(map(tuple, rows))
+        with pytest.raises(ValueError, match="not symmetric in row 1"):
+            FiniteEffectAlgebra(n, one, lopsided)
+        for shape in (table[:-1], table[:-1] + (table[-1][:-1],)):
+            with pytest.raises(ValueError, match=f"{n} row tuples of {n} cells"):
+                FiniteEffectAlgebra(n, one, shape)
+        rows = [list(row) for row in table]
+        rows[2][2] = n
+        with pytest.raises(ValueError, match=f"table entry {n} out of range"):
+            FiniteEffectAlgebra(n, one, tuple(map(tuple, rows)))
 
 
 class TestValidate:

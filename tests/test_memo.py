@@ -22,7 +22,7 @@ from effalg.report import build_report
 from effalg.theorems import run_all
 
 MEMOISED_FACTS = {
-    core: ("sum_rows", "validate", "derive_order"),
+    core: ("validate", "derive_order"),
     properties: ("classify", "atoms", "_atom_reach", "_ortho_scan", "isotropic_indices",
                  "pair_joins", "is_atomistic", "is_orthoatomistic", "is_disjunctive"),
 }
