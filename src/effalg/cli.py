@@ -158,17 +158,7 @@ def _print_props_text(alg: FiniteEffectAlgebra, doc: dict) -> None:
 def cover_pairs(alg: FiniteEffectAlgebra) -> list[tuple[int, int]]:
     """The cover relation (transitive reduction) of the induced order."""
     order = derive_order(alg)
-    n = alg.size
-    covers = []
-    for a in range(n):
-        strict_up = order.up[a] & ~(1 << a)
-        for b in range(n):
-            if not strict_up >> b & 1:
-                continue
-            between = strict_up & order.down[b] & ~(1 << b)
-            if not between:
-                covers.append((a, b))
-    return covers
+    return [(a, b) for a in range(alg.size) for b in order.minimal(order.up[a] & ~(1 << a))]
 
 
 def hasse_dot(alg: FiniteEffectAlgebra) -> str:
@@ -176,7 +166,8 @@ def hasse_dot(alg: FiniteEffectAlgebra) -> str:
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=ellipse, fontname="Helvetica"];']
     for i in range(alg.size):
         style = ', style=filled, fillcolor="lightblue"' if i in ats else ""
-        lines.append(f'  n{i} [label="{alg.label(i)}"{style}];')
+        label = alg.label(i).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{label}"{style}];')
     for a, b in cover_pairs(alg):
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")

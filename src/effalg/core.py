@@ -271,7 +271,8 @@ class OrderRelation:
 
     ``up[a]`` / ``down[a]`` are bitmasks of {b : a <= b} / {b : b <= a}.
     ``ominus[(b, a)]`` is the unique c with a + c = b, present exactly when
-    a <= b.
+    a <= b.  ``least`` and ``minimal`` answer every join, meet, minimal
+    bound, atom and cover: each takes a set of elements as a bitmask.
     """
 
     size: int
@@ -288,6 +289,18 @@ class OrderRelation:
 
     def below(self, a: int) -> Iterator[int]:
         return _bits(self.down[a])
+
+    def least(self, mask: int) -> int | None:
+        """The u in ``mask`` below every element of ``mask``, or ``None``."""
+        up = self.up
+        for u in _bits(mask):
+            if not mask & ~up[u]:
+                return u
+        return None
+
+    def minimal(self, mask: int) -> Iterator[int]:
+        """The m in ``mask`` with nothing else of ``mask`` below them, ascending."""
+        return (m for m in _bits(mask) if self.down[m] & mask == 1 << m)
 
 
 @per_model
@@ -411,27 +424,23 @@ def lower_bounds(alg: FiniteEffectAlgebra, elems: Iterable[int]) -> set[int]:
 
 
 def minimal_upper_bounds(alg: FiniteEffectAlgebra, elems: Iterable[int]) -> set[int]:
-    order = derive_order(alg)
-    ub = _bound_mask(alg, elems, upper=True)
-    return {b for b in _bits(ub) if order.down[b] & ub == 1 << b}
+    return set(derive_order(alg).minimal(_bound_mask(alg, elems, upper=True)))
 
 
 def supremum(alg: FiniteEffectAlgebra, elems: Iterable[int]) -> int | None:
     """Least upper bound, or ``None``.  sup ∅ = 0 (bounded-poset convention)."""
-    order = derive_order(alg)
-    ub = _bound_mask(alg, elems, upper=True)
-    for b in _bits(ub):
-        if not ub & ~order.up[b]:
-            return b
-    return None
+    return derive_order(alg).least(_bound_mask(alg, elems, upper=True))
 
 
 def infimum(alg: FiniteEffectAlgebra, elems: Iterable[int]) -> int | None:
-    """Greatest lower bound, or ``None``.  inf ∅ = 1."""
+    """Greatest lower bound, or ``None``.  inf ∅ = 1.
+
+    The orthosupplement is an order-reversing involution (``derive_order``
+    checks both), so inf S = (sup S′)′: the supplements of the lower bounds
+    of S are the upper bounds of S′.
+    """
     order = derive_order(alg)
+    supp = order.supplement
     lb = _bound_mask(alg, elems, upper=False)
-    best = None
-    for b in _bits(lb):
-        if not lb & ~order.down[b]:
-            best = b
-    return best
+    sup = order.least(sum(1 << supp[x] for x in _bits(lb)))
+    return None if sup is None else supp[sup]

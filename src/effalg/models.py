@@ -278,7 +278,10 @@ def _parse(fh: IO[str], name: str) -> FiniteEffectAlgebra:
                 idx = int(idx_text)
             except ValueError:
                 fail(f"label line needs an index, got {rest!r}", ln)
-            labels[idx] = (label_text.strip(), ln)
+            text = label_text.strip()
+            prev, prev_ln = labels.setdefault(idx, (text, ln))
+            if prev != text:
+                fail(f"conflicting label for element {idx}: {prev!r} (line {prev_ln}) vs {text!r}", ln)
         else:
             fail(f"unknown directive {key!r}", ln)
 

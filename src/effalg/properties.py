@@ -33,8 +33,6 @@ from .core import (
     InvariantViolation,
     _bits,
     derive_order,
-    infimum,
-    minimal_upper_bounds,
     per_model,
     require_valid,
     supremum,
@@ -65,8 +63,7 @@ class Classification:
 @per_model
 def atoms(alg: FiniteEffectAlgebra) -> tuple[int, ...]:
     """Minimal nonzero elements, ascending."""
-    order = derive_order(alg)
-    return tuple(a for a in range(1, alg.size) if order.down[a] == (1 << a) | 1)
+    return tuple(derive_order(alg).minimal((1 << alg.size) - 2))
 
 
 def atoms_below(alg: FiniteEffectAlgebra, a: int) -> tuple[int, ...]:
@@ -91,7 +88,9 @@ def is_principal(alg: FiniteEffectAlgebra, a: int) -> bool:
 @per_model
 def pair_joins(alg: FiniteEffectAlgebra) -> tuple[int | None, ...]:
     """The supremum of {a, b} for every defined pair, in ``defined_pairs`` order."""
-    return tuple(supremum(alg, (a, b)) for a, b, _ in alg.defined_pairs())
+    order = derive_order(alg)
+    up = order.up
+    return tuple(order.least(up[a] & up[b]) for a, b, _ in alg.defined_pairs())
 
 
 @per_model
@@ -102,7 +101,7 @@ def classify(alg: FiniteEffectAlgebra) -> Classification:
     "a + b is the join of every orthogonal pair" (``omp_by_joins``); the
     routes are theorems of each other, so ``profile`` raises if they differ.
     """
-    require_valid(alg)
+    order = derive_order(alg)
     n = alg.size
     witnesses: dict[str, Any] = {}
 
@@ -123,18 +122,20 @@ def classify(alg: FiniteEffectAlgebra) -> Classification:
     omp_by_joins = all(
         join == c for (_, _, c), join in zip(alg.defined_pairs(), pair_joins(alg)))
 
+    # a ∧ b exists iff a′ ∨ b′ does: the supplement reverses the order
+    up, least, supp = order.up, order.least, order.supplement
     lattice = True
     for a in range(n):
         for b in range(a + 1, n):
-            if supremum(alg, (a, b)) is None:
+            if least(up[a] & up[b]) is None:
                 lattice = False
                 witnesses["lattice"] = {
                     "kind": "no_supremum",
                     "pair": (a, b),
-                    "minimal_upper_bounds": sorted(minimal_upper_bounds(alg, (a, b))),
+                    "minimal_upper_bounds": list(order.minimal(up[a] & up[b])),
                 }
                 break
-            if infimum(alg, (a, b)) is None:
+            if least(up[supp[a]] & up[supp[b]]) is None:
                 lattice = False
                 witnesses["lattice"] = {"kind": "no_infimum", "pair": (a, b)}
                 break
@@ -342,7 +343,7 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
     is exactly the unbounded scan.
     """
     order = derive_order(alg)
-    up, down = order.up, order.down
+    up, least, minimal = order.up, order.least, order.minimal
     n = alg.size
     full = (1 << n) - 1
     rows = alg.table
@@ -352,12 +353,6 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
     woc_witness: list[tuple[int, ...]] = []
     stack: list[int] = []
     memo: dict[tuple[int, int], int] = {}
-
-    def least_of(mask: int) -> int | None:
-        for u in _bits(mask):
-            if not mask & ~up[u]:
-                return u
-        return None
 
     scan = f"the orthogonal-system scan of {alg.name or f'a {n}-element model'}"
 
@@ -387,11 +382,11 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
                     new_psums |= 1 << s
                     new_ub &= up[s]
             stack.append(v)
-            if least_of(new_ub) is None:
+            if least(new_ub) is None:
                 if not oc_witness:
                     oc_witness.append(tuple(stack))
-                if not woc_witness and any(
-                        down[m] & new_ub == 1 << m for m in _bits(new_ub)):
+                # element 0 is falsy: ask whether any minimal bound exists
+                if not woc_witness and next(minimal(new_ub), None) is not None:
                     woc_witness.append(tuple(stack))
             found += 1 + extend(v, total_row[v], new_psums, new_ub)
             stack.pop()

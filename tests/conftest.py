@@ -46,6 +46,22 @@ def small_corpus(chain5, boolean3, even6, hsum22):
 
 
 @pytest.fixture(scope="session")
+def even6_meetless_first():
+    """even_subsets:6 with {c,d,e,f} at 1, {a,d,e,f} at 2 and the rest in order.
+
+    Pair (1, 2) then comes first among the pairs without a bound: its
+    supremum exists (the unit) and its infimum does not.
+    """
+    even6 = ea.even_subset_omp(6)
+    first = [even6.labels.index("{c,d,e,f}"), even6.labels.index("{a,d,e,f}")]
+    order = [0, *first] + [i for i in range(1, even6.size) if i not in first]
+    pi = [0] * even6.size
+    for new, old in enumerate(order):
+        pi[old] = new
+    return ea.permute(even6, pi)
+
+
+@pytest.fixture(scope="session")
 def enumerated_le5():
     return [m for n in range(2, 6) for m in ea.enumerate_up_to_iso(n)]
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, exit codes, and report formats."""
 
 import json
+import re
 
 import pytest
 
@@ -219,6 +220,19 @@ class TestHasse:
                         changed = True
             for a in range(alg.size):
                 assert reach[a] == set(order.above(a))
+
+    def test_labels_are_escaped(self, tmp_path, capsys):
+        labels = ['a"];evil[label="x', "back\\slash\\"]
+        src = tmp_path / "hostile.efa"
+        src.write_text(f"elements: 3\none: 2\nlabel: 1 {labels[0]}\nlabel: 2 {labels[1]}\n"
+                       "sum: 1 1 2\n", encoding="utf-8")
+        out_path = tmp_path / "hostile.dot"
+        code, _, _ = run(capsys, "hasse", str(src), "-o", str(out_path))
+        assert code == 0
+        nodes = re.findall(r'^  (\w+) \[label="((?:[^"\\]|\\.)*)"[^\n]*\];$',
+                           out_path.read_text(encoding="utf-8"), re.M)
+        assert [name for name, _ in nodes] == ["n0", "n1", "n2"]
+        assert [re.sub(r"\\(.)", r"\1", text) for _, text in nodes] == ["0", *labels]
 
 
 class TestEnumerateCommand:

@@ -300,6 +300,35 @@ class TestBounds:
         i_bc = even_subset_index(6, 0b000110)
         assert ea.supremum(even6, [i_ab, i_bc]) is None
 
+    def test_bound_functions_match_their_definitions(self, small_corpus, even6_meetless_first):
+        # Brute force from order.le alone, on every set of at most 2 elements
+        # (3 on carriers of at most 10).
+        models = small_corpus + [even6_meetless_first]
+        models += [m for n in range(2, 7) for m in ea.enumerate_up_to_iso(n)]
+        for alg in models:
+            order = ea.derive_order(alg)
+            le = order.le
+            carrier = range(alg.size)
+            for r in range(4 if alg.size <= 10 else 3):
+                for s in itertools.combinations(carrier, r):
+                    ub = [u for u in carrier if all(le(x, u) for x in s)]
+                    lb = [v for v in carrier if all(le(v, x) for x in s)]
+                    least = [u for u in ub if all(le(u, v) for v in ub)]
+                    greatest = [v for v in lb if all(le(w, v) for w in lb)]
+                    minimal = {u for u in ub if not any(le(v, u) and v != u for v in ub)}
+                    assert ea.supremum(alg, s) == (least[0] if least else None), (alg, s)
+                    assert ea.infimum(alg, s) == (greatest[0] if greatest else None), (alg, s)
+                    assert ea.minimal_upper_bounds(alg, s) == minimal, (alg, s)
+
+    @pytest.mark.parametrize("fn", [ea.upper_bounds, ea.lower_bounds, ea.minimal_upper_bounds,
+                                    ea.supremum, ea.infimum])
+    def test_bound_functions_refuse_elements_off_the_carrier(self, fn, chain5):
+        # -1 would silently pick the last entry of a per-element table
+        for bad in (-1, chain5.size):
+            for elems in ([bad], [0, bad], [bad, 2]):
+                with pytest.raises(ValueError, match="out of range"):
+                    fn(chain5, elems)
+
 
 class TestValidModelLaws:
     def test_cancellation(self, small_corpus):

@@ -121,6 +121,14 @@ def test_one_report_derives_each_fact_once(recipe):
             assert counts[body] == 1, name
 
 
+def test_classify_reads_joins_and_meets_from_the_order():
+    # the public bound functions re-check their input on every call
+    counts = _calls_during(properties.classify, ea.chain(32))
+    assert counts[properties.classify.__wrapped__.__code__] == 1
+    assert counts[core.supremum.__code__] == 0
+    assert counts[core.infimum.__code__] == 0
+
+
 def test_enumerate_canonicalizes_each_class_once(capsys):
     counts = _calls_during(main, ["enumerate", "--max-size", "6", "--verify-theorems"])
     out = capsys.readouterr().out

@@ -177,6 +177,13 @@ class TestEfaFormat:
         with pytest.raises(EfaParseError):
             loads("elements: 3\none: 2\nsum: 1 1 7\n")
 
+    def test_conflicting_labels_is_parse_error(self):
+        text = "elements: 3\none: 2\nlabel: 1 a\nsum: 1 1 2\nlabel: 1 b\n"
+        with pytest.raises(EfaParseError, match=r"'a' \(line 3\) vs 'b'") as err:
+            loads(text)
+        assert err.value.line == 5
+        assert loads(text.replace("label: 1 b", "label: 1  a ")).label(1) == "a"
+
     def test_comments_and_labels(self):
         text = "# a comment\nelements: 3\none: 2\nlabel: 1 atom\nsum: 1 1 2\n"
         alg = loads(text)

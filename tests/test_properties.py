@@ -104,6 +104,13 @@ class TestClassify:
         cls = ea.classify(ea.even_subset_omp(4))
         assert cls.omp and cls.lattice and cls.oml
 
+    def test_missing_meet_is_its_own_witness_kind(self, even6_meetless_first):
+        cls = ea.classify(even6_meetless_first)
+        assert not cls.lattice
+        assert cls.witnesses["lattice"] == {"kind": "no_infimum", "pair": (1, 2)}
+        assert ea.supremum(even6_meetless_first, (1, 2)) == even6_meetless_first.one
+        assert ea.infimum(even6_meetless_first, (1, 2)) is None
+
     def test_even2_is_two_element_algebra(self):
         assert ea.even_subset_omp(2).size == 2
 
@@ -273,6 +280,21 @@ class TestOrthocompleteness:
         assert sum(witness) == total
         assert part not in {sum(c) for r in range(len(witness) + 1)
                             for c in itertools.combinations(witness, r)}
+
+    def test_zero_as_the_only_minimal_upper_bound_is_a_weak_witness(self, monkeypatch):
+        # Bend chain:3 so that the upper bounds of the system (3) are {0, 1}
+        # with no least element and 0 as their only minimal element.  Index 0
+        # is falsy: the scan must ask whether a minimal bound exists at all.
+        alg = ea.chain(3)
+        order = ea.derive_order(alg)
+        up = list(order.up)
+        up[0], up[3] = 0b0001, 0b0011
+        bent = dataclasses.replace(order, up=tuple(up))
+        monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
+        scan = _ortho_scan(alg)
+        assert scan.weakly_orthocomplete == Decision(False, (3,))
+        assert (scan.orthocomplete, scan.weakly_orthocomplete, scan.systems_checked) \
+            == _plain_ortho_scan(alg, bent)
 
 
 class TestProfile:
