@@ -373,6 +373,11 @@ def is_orthogonal(alg: FiniteEffectAlgebra, a: int, b: int) -> bool:
     return by_table
 
 
+def _check_element(a: int, size: int) -> None:
+    if not 0 <= a < size:
+        raise ValueError(f"element {a} out of range for carrier of size {size}")
+
+
 def _as_sorted_elements(items: Iterable[int] | Multiset, size: int) -> list[int]:
     if isinstance(items, Mapping):
         out: list[int] = []
@@ -383,8 +388,7 @@ def _as_sorted_elements(items: Iterable[int] | Multiset, size: int) -> list[int]
     else:
         out = sorted(items)
     for v in out:
-        if not 0 <= v < size:
-            raise ValueError(f"element {v} out of range for carrier of size {size}")
+        _check_element(v, size)
     return out
 
 
@@ -408,8 +412,7 @@ def _bound_mask(alg: FiniteEffectAlgebra, elems: Iterable[int], upper: bool) -> 
     order = derive_order(alg)
     mask = (1 << alg.size) - 1
     for s in elems:
-        if not 0 <= s < alg.size:
-            raise ValueError(f"element {s} out of range for carrier of size {alg.size}")
+        _check_element(s, alg.size)
         mask &= order.up[s] if upper else order.down[s]
     return mask
 

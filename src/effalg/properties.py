@@ -32,6 +32,7 @@ from .core import (
     FiniteEffectAlgebra,
     InvariantViolation,
     _bits,
+    _check_element,
     derive_order,
     per_model,
     require_valid,
@@ -67,12 +68,14 @@ def atoms(alg: FiniteEffectAlgebra) -> tuple[int, ...]:
 
 
 def atoms_below(alg: FiniteEffectAlgebra, a: int) -> tuple[int, ...]:
+    _check_element(a, alg.size)
     order = derive_order(alg)
     return tuple(t for t in atoms(alg) if order.le(t, a))
 
 
 def is_principal(alg: FiniteEffectAlgebra, a: int) -> bool:
     """b + c <= a whenever b, c <= a and b + c is defined (b = c allowed)."""
+    _check_element(a, alg.size)
     order = derive_order(alg)
     rows = alg.table
     below = list(order.below(a))
@@ -194,39 +197,60 @@ def is_atomistic(alg: FiniteEffectAlgebra) -> Decision:
     return Decision(True)
 
 
-@per_model
-def _atom_reach(alg: FiniteEffectAlgebra) -> tuple[int, dict[int, tuple[int, int]]]:
-    """Closure of {0} under x -> x + atom, with parent links for backtracking.
+State = tuple[int, int]  # (partial sum, index of the first atom it may still add)
 
-    An element is a sum of an orthogonal multiset of atoms exactly when it
-    lies in this closure: a defined total forces every sub-sum to be
-    defined, so growing one atom at a time loses nothing.
+
+def _atom_closure(alg: FiniteEffectAlgebra, repeat: bool) -> tuple[int, dict[State, tuple[State, int]]]:
+    """Breadth-first closure of the state (0, 0) under adding one atom.
+
+    A state is a partial sum x and the index i of the first atom it may
+    still add.  With ``repeat`` every atom stays available and i is always
+    0; without it i is one past the last atom added, so no atom repeats.
+    Returns the bitmask of partial sums reached and a parent link (state,
+    atom added) for every state but the root.  A defined total forces
+    every sub-sum to be defined, so growing one atom at a time loses no
+    decomposition.
     """
     ats = atoms(alg)
-    parent: dict[int, tuple[int, int]] = {}
+    parent: dict[State, tuple[State, int]] = {}
     reached = 1  # {0}
-    frontier = [0]
+    frontier: list[State] = [(0, 0)]
     while frontier:
-        nxt: list[int] = []
-        for x in frontier:
-            for t in ats:
-                s = alg.sum_of(x, t)
-                if s is not None and not reached >> s & 1:
+        nxt: list[State] = []
+        for state in frontier:
+            x, i = state
+            for j in range(i, len(ats)):
+                s = alg.sum_of(x, ats[j])
+                new = (s, 0 if repeat else j + 1)
+                # s is None where undefined; 0 is the root's sum alone
+                if s and new not in parent:
                     reached |= 1 << s
-                    parent[s] = (x, t)
-                    nxt.append(s)
+                    parent[new] = (state, ats[j])
+                    nxt.append(new)
         frontier = nxt
     return reached, parent
 
 
+@per_model
+def _atom_reach(alg: FiniteEffectAlgebra) -> tuple[int, dict[State, tuple[State, int]]]:
+    """The closure with repeated atoms: every state is (x, 0).
+
+    An element is a sum of an orthogonal multiset of atoms exactly when it
+    is reached.
+    """
+    return _atom_closure(alg, repeat=True)
+
+
 def atom_decomposition(alg: FiniteEffectAlgebra, a: int) -> tuple[int, ...] | None:
     """A multiset of atoms summing to a (sorted), or ``None`` if unreachable."""
+    _check_element(a, alg.size)
     reached, parent = _atom_reach(alg)
     if not reached >> a & 1:
         return None
     out: list[int] = []
-    while a != 0:
-        a, t = parent[a]
+    state = (a, 0)
+    while state in parent:
+        state, t = parent[state]
         out.append(t)
     return tuple(sorted(out))
 
@@ -249,31 +273,8 @@ def is_orthoatomistic_sets(alg: FiniteEffectAlgebra) -> bool:
 
     Supplementary flag only; the headline decider is ``is_orthoatomistic``.
     """
-    order = derive_order(alg)
-    ats = atoms(alg)
-
-    def reachable(target: int) -> bool:
-        memo: dict[tuple[int, int], bool] = {}
-
-        def go(x: int, i: int) -> bool:
-            if x == target:
-                return True
-            key = (x, i)
-            if key in memo:
-                return memo[key]
-            ok = False
-            for j in range(i, len(ats)):
-                s = alg.sum_of(x, ats[j])
-                # partial sums of a decomposition of `target` stay below it
-                if s is not None and order.le(s, target) and go(s, j + 1):
-                    ok = True
-                    break
-            memo[key] = ok
-            return ok
-
-        return go(0, 0)
-
-    return all(reachable(a) for a in range(1, alg.size))
+    reached, _ = _atom_closure(alg, repeat=False)
+    return reached == (1 << alg.size) - 1
 
 
 @per_model

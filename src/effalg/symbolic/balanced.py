@@ -25,6 +25,8 @@ import itertools
 from dataclasses import dataclass
 
 from ..core import InvariantViolation
+# the shared set algebra's operations are re-exported as this family's own
+from . import FiniteOrCofinite, contains, le, lt, ominus, oplus, supplement  # noqa: F401
 
 Point = tuple[str, int]  # ("x" | "y", index)
 
@@ -43,11 +45,8 @@ def _is_balanced(points: frozenset[Point]) -> bool:
 
 
 @dataclass(frozen=True)
-class BalancedElement:
+class BalancedElement(FiniteOrCofinite):
     """``points`` if direct; Z without ``points`` if ``complemented``."""
-
-    points: frozenset[Point]
-    complemented: bool = False
 
     def __post_init__(self) -> None:
         for t, i in self.points:
@@ -73,53 +72,6 @@ def codirect(*points: Point) -> BalancedElement:
 
 ZERO = direct()
 ONE = codirect()
-
-
-def contains(u: BalancedElement, p: Point) -> bool:
-    return (p in u.points) != u.complemented
-
-
-def oplus(u: BalancedElement, v: BalancedElement) -> BalancedElement | None:
-    """Union of disjoint members; the union is automatically in the family."""
-    if not u.complemented and not v.complemented:
-        if u.points & v.points:
-            return None
-        return BalancedElement(u.points | v.points)
-    if u.complemented and v.complemented:
-        return None
-    d, c = (u, v) if v.complemented else (v, u)
-    if not d.points <= c.points:
-        return None
-    return BalancedElement(c.points - d.points, complemented=True)
-
-
-def supplement(u: BalancedElement) -> BalancedElement:
-    return BalancedElement(u.points, not u.complemented)
-
-
-def le(u: BalancedElement, v: BalancedElement) -> bool:
-    if not u.complemented and not v.complemented:
-        return u.points <= v.points
-    if not u.complemented and v.complemented:
-        return not (u.points & v.points)
-    if u.complemented and not v.complemented:
-        return False
-    return v.points <= u.points
-
-
-def lt(u: BalancedElement, v: BalancedElement) -> bool:
-    return u != v and le(u, v)
-
-
-def ominus(v: BalancedElement, u: BalancedElement) -> BalancedElement | None:
-    """The unique c with u + c = v, when u <= v."""
-    if not le(u, v):
-        return None
-    if not v.complemented:
-        return BalancedElement(v.points - u.points)
-    if u.complemented:
-        return BalancedElement(u.points - v.points)
-    return BalancedElement(v.points | u.points, complemented=True)
 
 
 def atom(i: int, j: int) -> BalancedElement:

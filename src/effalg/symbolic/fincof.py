@@ -16,28 +16,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import Refutation
+# the shared set algebra's operations are re-exported as this family's own
+from . import FiniteOrCofinite, Refutation, contains, le, lt, ominus, oplus, supplement  # noqa: F401
 
 CLAIM = "no minimal upper bound for the even-singleton system"
 
 
 @dataclass(frozen=True)
-class FinCofElement:
-    """``finite_part`` if ``cofinite`` is false, else ℕ without ``finite_part``."""
-
-    finite_part: frozenset[int]
-    cofinite: bool = False
+class FinCofElement(FiniteOrCofinite):
+    """``points`` if not ``complemented``, else ℕ without ``points``."""
 
     def __post_init__(self) -> None:
-        for p in self.finite_part:
+        for p in self.points:
             if not isinstance(p, int) or p < 0:
                 raise ValueError(f"points must be naturals, got {p!r}")
 
     def describe(self) -> str:
-        inner = "{" + ",".join(str(p) for p in sorted(self.finite_part)) + "}"
-        if self.cofinite:
-            return "ℕ" if not self.finite_part else f"ℕ∖{inner}"
-        return "∅" if not self.finite_part else inner
+        inner = "{" + ",".join(str(p) for p in sorted(self.points)) + "}"
+        if self.complemented:
+            return "ℕ" if not self.points else f"ℕ∖{inner}"
+        return "∅" if not self.points else inner
 
 
 def fin(*points: int) -> FinCofElement:
@@ -45,59 +43,11 @@ def fin(*points: int) -> FinCofElement:
 
 
 def cofin(*removed: int) -> FinCofElement:
-    return FinCofElement(frozenset(removed), cofinite=True)
+    return FinCofElement(frozenset(removed), complemented=True)
 
 
 ZERO = fin()
 ONE = cofin()
-
-
-def contains(u: FinCofElement, p: int) -> bool:
-    return (p in u.finite_part) != u.cofinite
-
-
-def oplus(u: FinCofElement, v: FinCofElement) -> FinCofElement | None:
-    """Union of disjoint members; ``None`` when the sets intersect."""
-    if not u.cofinite and not v.cofinite:
-        if u.finite_part & v.finite_part:
-            return None
-        return FinCofElement(u.finite_part | v.finite_part)
-    if u.cofinite and v.cofinite:
-        return None  # two cofinite sets always share a point
-    lo, hi = (u, v) if v.cofinite else (v, u)
-    if not lo.finite_part <= hi.finite_part:
-        return None
-    return FinCofElement(hi.finite_part - lo.finite_part, cofinite=True)
-
-
-def supplement(u: FinCofElement) -> FinCofElement:
-    return FinCofElement(u.finite_part, not u.cofinite)
-
-
-def le(u: FinCofElement, v: FinCofElement) -> bool:
-    """Inclusion; the difference of nested members is always in the family."""
-    if not u.cofinite and not v.cofinite:
-        return u.finite_part <= v.finite_part
-    if not u.cofinite and v.cofinite:
-        return not (u.finite_part & v.finite_part)
-    if u.cofinite and not v.cofinite:
-        return False
-    return v.finite_part <= u.finite_part
-
-
-def lt(u: FinCofElement, v: FinCofElement) -> bool:
-    return u != v and le(u, v)
-
-
-def ominus(v: FinCofElement, u: FinCofElement) -> FinCofElement | None:
-    """The unique c with u + c = v, when u <= v."""
-    if not le(u, v):
-        return None
-    if v.cofinite and not u.cofinite:
-        return FinCofElement(v.finite_part | u.finite_part, cofinite=True)
-    if v.cofinite and u.cofinite:
-        return FinCofElement(u.finite_part - v.finite_part)
-    return FinCofElement(v.finite_part - u.finite_part)
 
 
 # --- the orthogonal system of even singletons -------------------------------
@@ -112,7 +62,7 @@ def is_upper_bound_of_evens(u: FinCofElement) -> bool:
     A finite set cannot, and a cofinite set does iff it removes no even
     number, so the infinite quantification collapses to a finite check.
     """
-    return u.cofinite and all(p % 2 == 1 for p in u.finite_part)
+    return u.complemented and all(p % 2 == 1 for p in u.points)
 
 
 def refute_upper_bound_candidate(candidate: FinCofElement) -> Refutation:
@@ -133,9 +83,9 @@ def refute_upper_bound_candidate(candidate: FinCofElement) -> Refutation:
             verified)
 
     p = 1
-    while p in candidate.finite_part:
+    while p in candidate.points:
         p += 2
-    smaller = FinCofElement(candidate.finite_part | {p}, cofinite=True)
+    smaller = FinCofElement(candidate.points | {p}, complemented=True)
     verified = (is_upper_bound_of_evens(smaller)
                 and lt(smaller, candidate)
                 and contains(candidate, p))
@@ -146,21 +96,21 @@ def refute_upper_bound_candidate(candidate: FinCofElement) -> Refutation:
 
 
 def _missing_even(u: FinCofElement) -> int:
-    if u.cofinite:
-        evens = sorted(p for p in u.finite_part if p % 2 == 0)
+    if u.complemented:
+        evens = sorted(p for p in u.points if p % 2 == 0)
         return evens[0]
     p = 0
-    while p in u.finite_part:
+    while p in u.points:
         p += 2
     return p
 
 
 def random_element(rng: random.Random, max_point: int = 40, max_size: int = 6) -> FinCofElement:
     points = frozenset(rng.sample(range(max_point), rng.randint(0, max_size)))
-    return FinCofElement(points, cofinite=rng.random() < 0.5)
+    return FinCofElement(points, complemented=rng.random() < 0.5)
 
 
 def random_upper_bound(rng: random.Random, max_point: int = 40, max_size: int = 6) -> FinCofElement:
     odds = [p for p in range(1, max_point, 2)]
     removed = frozenset(rng.sample(odds, rng.randint(0, max_size)))
-    return FinCofElement(removed, cofinite=True)
+    return FinCofElement(removed, complemented=True)

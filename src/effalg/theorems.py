@@ -11,7 +11,6 @@ exit code.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -46,21 +45,6 @@ CHECK_IDS = (
     "orthoatomistic_omp_implies_atomistic",
     "self_orthogonal_zero",
 )
-
-CHECK_DESCRIPTIONS: Mapping[str, str] = {
-    "cancellation": "a⊕b ≤ a⊕c implies b ≤ c",
-    "sup_le_oplus": "a∨b ≤ a⊕b whenever both exist",
-    "omp_iff_principal_iff_join": "all elements principal iff ⊕ is the join of every orthogonal pair",
-    "orthoalgebra_iff_index1": "orthoalgebra iff every nonzero isotropic index is 1",
-    "omp_implies_orthoalgebra": "every orthomodular poset is an orthoalgebra",
-    "prop_2_6": "every orthoalgebra is Archimedean",
-    "prop_2_8": "every orthocomplete effect algebra is Archimedean",
-    "prop_3_3": "orthocomplete or lattice implies weakly orthocomplete",
-    "thm_3_2": "atomistic iff atomic and disjunctive",
-    "thm_3_7_finite": "weakly orthocomplete + Archimedean + atomic implies orthoatomistic",
-    "orthoatomistic_omp_implies_atomistic": "an orthoatomistic orthomodular poset is atomistic",
-    "self_orthogonal_zero": "in an orthoalgebra only 0 is orthogonal to itself",
-}
 
 
 @dataclass(frozen=True)
@@ -170,7 +154,6 @@ class ExhaustiveSummary:
     tallies: dict[str, dict[str, int]] = field(default_factory=dict)
     failures: list[tuple[int, str, str, Any]] = field(default_factory=list)
     duplicate_forms: int = 0
-    elapsed_seconds: float = 0.0
 
     @property
     def total_models(self) -> int:
@@ -191,28 +174,6 @@ class ExhaustiveSummary:
         lines.append(f"failures: {len(self.failures)}; duplicate canonical forms: {self.duplicate_forms}")
         return "\n".join(lines)
 
-    def as_json(self) -> dict:
-        return {
-            "max_size": self.max_size,
-            "models_per_size": {str(k): v for k, v in sorted(self.models_per_size.items())},
-            "total_models": self.total_models,
-            "checks": {cid: dict(self.tallies.get(cid, {})) for cid in CHECK_IDS},
-            "failures": [
-                {"size": s, "model": m, "check": c, "witness": _plain(w)}
-                for s, m, c, w in self.failures
-            ],
-            "duplicate_forms": self.duplicate_forms,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
-
-
-def _plain(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value if isinstance(value, (str, int, float, bool)) or value is None else str(value)
-
 
 def run_exhaustive(max_size: int, models: Iterable[FiniteEffectAlgebra] | None = None,
                    dump_dir: str | None = None) -> ExhaustiveSummary:
@@ -223,7 +184,6 @@ def run_exhaustive(max_size: int, models: Iterable[FiniteEffectAlgebra] | None =
     from ``enumerate_up_to_iso``, whose models are their own canonical
     representatives, so ``duplicate_forms`` counts repeated models.
     """
-    started = time.perf_counter()
     summary = ExhaustiveSummary(max_size=max_size)
     tallies = {cid: {PASS: 0, VACUOUS: 0, FAIL: 0} for cid in CHECK_IDS}
     if models is None:
@@ -251,5 +211,4 @@ def run_exhaustive(max_size: int, models: Iterable[FiniteEffectAlgebra] | None =
             target.mkdir(parents=True, exist_ok=True)
             save(model, target / f"theorem_failure_{model.name.replace(':', '_')}.efa")
     summary.tallies = tallies
-    summary.elapsed_seconds = time.perf_counter() - started
     return summary

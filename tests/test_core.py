@@ -198,6 +198,14 @@ class TestOutOfCarrierIndices:
                 with pytest.raises(ValueError, match="out of range for carrier of size 4"):
                     read(a, b)
 
+    @pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "size"])
+    def test_element_readers_reject_indices_off_the_carrier(self, bad):
+        c3 = ea.chain(3)
+        for read in (ea.atoms_below, ea.atom_decomposition, ea.is_principal,
+                     ea.isotropic_index):
+            with pytest.raises(ValueError, match="out of range"):
+                read(c3, bad)
+
 
 class TestMultisetSum:
     def test_chain4_examples(self):

@@ -192,6 +192,31 @@ class TestOrthoatomistic:
         assert ea.is_orthoatomistic_sets(boolean3)
         assert ea.is_orthoatomistic_sets(ea.chain(1))
 
+    @pytest.fixture(scope="class")
+    def atom_corpus(self, small_corpus):
+        return small_corpus + [
+            *(m for n in range(2, 8) for m in ea.enumerate_up_to_iso(n)),
+            ea.chain(9), ea.boolean_algebra(4), ea.even_subset_omp(6),
+            ea.horizontal_sum(ea.boolean_algebra(2), ea.chain(3)),
+        ]
+
+    def test_set_variant_matches_brute_force(self, atom_corpus):
+        # reference: fold every subset of the atoms, each atom at most once
+        for alg in atom_corpus:
+            ats = ea.atoms(alg)
+            sums = {ea.oplus_multiset(alg, combo)
+                    for r in range(len(ats) + 1) for combo in itertools.combinations(ats, r)}
+            assert ea.is_orthoatomistic_sets(alg) == (sums >= set(range(alg.size))), alg.name
+
+    def test_decompositions_are_sorted_atoms_summing_to_the_element(self, atom_corpus):
+        for alg in atom_corpus:
+            ats = set(ea.atoms(alg))
+            for a in range(alg.size):
+                parts = ea.atom_decomposition(alg, a)
+                if parts is not None:
+                    assert list(parts) == sorted(parts) and set(parts) <= ats, (alg.name, a)
+                    assert ea.oplus_multiset(alg, parts) == a, (alg.name, a)
+
 
 class TestDisjunctive:
     def test_chain5_counterexample(self, chain5):

@@ -113,6 +113,24 @@ class TestFinCof:
                 assert not fincof.le(ref.witness, cand)
 
 
+class TestSharedSetAlgebra:
+    @pytest.mark.parametrize("family, cls, u, v", [
+        (fincof, fincof.FinCofElement, fincof.fin(1, 2), fincof.fin(3)),
+        (balanced, balanced.BalancedElement, balanced.atom(0, 0), balanced.atom(1, 1)),
+    ], ids=["fincof", "balanced"])
+    def test_results_stay_in_their_family(self, family, cls, u, v):
+        total = family.oplus(u, v)
+        co = family.supplement(total)
+        # every branch of oplus and ominus: direct and complemented operands
+        results = (total, family.oplus(u, co), co, family.ominus(total, u),
+                   family.ominus(family.ONE, u), family.ominus(family.ONE, co))
+        for result in results:
+            assert type(result) is cls
+
+    def test_families_do_not_compare_equal(self):
+        assert fincof.ZERO != balanced.ZERO
+
+
 class TestBlocks:
     def test_membership_flips_on_perturbation(self):
         u = blocks.BlockElement(frozenset({1, 2}), frozenset({(1, 0), (3, 4)}))

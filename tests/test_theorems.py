@@ -89,9 +89,3 @@ class TestRunExhaustive:
         text = summary.text_table()
         assert "failures: 0" in text
         assert "thm_3_7_finite" in text
-
-    def test_json_summary_shape(self):
-        summary = run_exhaustive(3)
-        doc = summary.as_json()
-        assert doc["models_per_size"] == {"2": 1, "3": 1}
-        assert set(doc["checks"]) == set(CHECK_IDS)
