@@ -23,7 +23,7 @@ from .theorems import CHECK_IDS, run_exhaustive
 
 WITNESS_NAMES = ("ex34", "ex36-meet", "ex36-sup", "ex38", "ex39")
 
-ENUMERATE_PLAIN_LIMIT = 6  # orders 7..8 are slow and sit behind --big
+ENUMERATE_PLAIN_LIMIT = 6  # orders 7..10 are slow and sit behind --big
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,8 +15,10 @@ The generator fills partial sum tables cell by cell (row-major over pairs
 * a branch whose partial table is provably not lexicographically minimal
   under the relabelings that respect the pinned structure (permutations
   fixing 0 and the unit and commuting with the involution) is pruned;
-* surviving leaves are validated, canonically relabeled, and deduplicated
-  by canonical form as a final safety net;
+* surviving leaves are validated and canonically relabeled; the pruning
+  ranges over the whole centralizer, so it keeps exactly one leaf per
+  class, and two leaves with one canonical form raise
+  ``InvariantViolation``;
 * every emitted model is checked to be its own canonical representative,
   so callers compare emitted models directly, not their canonical forms.
 
@@ -34,24 +36,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import FiniteEffectAlgebra, InvariantViolation, validate
 from .properties import PROFILE_FLAGS, profile
 
-ENUMERATION_CAP = 8
+ENUMERATION_CAP = 10
 
 _UNKNOWN = -2
 _UNDEF = -1
 
 _LESS, _GREATER, _OPEN = -1, 1, 0
 
-_PRUNE_PERM_LIMIT = 512
-
 
 def permute(alg: FiniteEffectAlgebra, pi: Sequence[int]) -> FiniteEffectAlgebra:
     """Relabel a table along a carrier permutation with pi[0] == 0."""
-    if pi[0] != 0 or sorted(pi) != list(range(alg.size)):
+    if sorted(pi) != list(range(alg.size)) or pi[0] != 0:
         raise ValueError("need a carrier permutation fixing 0")
     entries = {}
     for a, b, c in alg.defined_pairs():
@@ -174,25 +174,14 @@ def _canonical_sigma(n: int, pairs: int) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _all_involutions(elems: list[int]) -> Iterator[dict[int, int]]:
-    if not elems:
-        yield {}
-        return
-    first, rest = elems[0], elems[1:]
-    for tail in _all_involutions(rest):
-        yield {first: first, **tail}
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for tail in _all_involutions(remaining):
-            yield {first: partner, partner: first, **tail}
-
-
 def _centralizer_perms(n: int, sigma: Sequence[int]) -> list[tuple[int, ...]]:
     """Permutations fixing 0 and n-1 that commute with sigma (identity excluded).
 
-    Deterministically truncated at ``_PRUNE_PERM_LIMIT``: any subset gives
-    sound (if weaker) pruning, and leaves are deduplicated by canonical form
-    anyway.
+    With k pairs in sigma these are all k!·2^k·(n-2-2k)! - 1 nontrivial
+    elements of its centralizer.  Every isomorphism between two tables of
+    the stratum fixes 0 and the unit and carries supplements to
+    supplements, so it lies in this group; lex-min pruning over the whole
+    group therefore keeps exactly one leaf per isomorphism class.
     """
     mid = list(range(1, n - 1))
     pairs = sorted({tuple(sorted((a, sigma[a]))) for a in mid if sigma[a] != a})
@@ -213,8 +202,6 @@ def _centralizer_perms(n: int, sigma: Sequence[int]) -> list[tuple[int, ...]]:
                 tpi = tuple(pi)
                 if tpi != tuple(range(n)):
                     out.append(tpi)
-                if len(out) >= _PRUNE_PERM_LIMIT:
-                    return out
     return out
 
 
@@ -228,8 +215,7 @@ class _PermData:
     value_map: tuple[int, ...]  # value relabeling; index n encodes "undefined"
 
 
-def _search_stratum(n: int, sigma: Sequence[int],
-                    prune: bool = True) -> list[tuple[bytes, FiniteEffectAlgebra]]:
+def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEffectAlgebra]]:
     one = n - 1
     tab = [_UNKNOWN] * (n * n)  # tab[a*n+b] == tab[b*n+a]: the symmetric sum table
     pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -324,18 +310,17 @@ def _search_stratum(n: int, sigma: Sequence[int],
         domains.append(allowed + [_UNDEF])
 
     perms: list[_PermData] = []
-    if prune and free:
-        cell_index = {cell: i for i, cell in enumerate(free)}
-        for pi in _centralizer_perms(n, sigma):
-            inv_pi = [0] * n
-            for i, p in enumerate(pi):
-                inv_pi[p] = i
-            inv_cell = []
-            for a, b in free:
-                x, y = inv_pi[a], inv_pi[b]
-                inv_cell.append(cell_index[(x, y) if x <= y else (y, x)])
-            vmap = [pi[c] for c in range(n)]
-            perms.append(_PermData(tuple(inv_cell), tuple(vmap)))
+    cell_index = {cell: i for i, cell in enumerate(free)}
+    for pi in _centralizer_perms(n, sigma):
+        inv_pi = [0] * n
+        for i, p in enumerate(pi):
+            inv_pi[p] = i
+        inv_cell = []
+        for a, b in free:
+            x, y = inv_pi[a], inv_pi[b]
+            inv_cell.append(cell_index[(x, y) if x <= y else (y, x)])
+        vmap = [pi[c] for c in range(n)]
+        perms.append(_PermData(tuple(inv_cell), tuple(vmap)))
 
     avals: list[int] = [0] * len(free)
     found: list[tuple[bytes, FiniteEffectAlgebra]] = []
@@ -400,7 +385,10 @@ def enumerate_up_to_iso(n: int) -> list[FiniteEffectAlgebra]:
     by_form: dict[bytes, FiniteEffectAlgebra] = {}
     for pairs in range((n - 2) // 2 + 1):
         for form, model in _search_stratum(n, _canonical_sigma(n, pairs)):
-            by_form.setdefault(form, model)
+            if form in by_form:
+                raise InvariantViolation(
+                    f"two order-{n} leaves share one canonical form (incomplete symmetry pruning)")
+            by_form[form] = model
     forms = sorted(by_form)
     ordered = [replace(by_form[f], name=f"enum:{n}:{i}") for i, f in enumerate(forms)]
     if any(_linearize(m, range(n), range(n), None) != f for f, m in zip(forms, ordered)):
@@ -411,18 +399,6 @@ def enumerate_up_to_iso(n: int) -> list[FiniteEffectAlgebra]:
 def count(n: int) -> dict[int, int]:
     """Isomorphism-class counts for every order from 2 to n."""
     return {k: len(enumerate_up_to_iso(k)) for k in range(2, n + 1)}
-
-
-def _enumerate_unpruned(n: int) -> list[FiniteEffectAlgebra]:
-    """Slow cross-check path: every supplement involution, no symmetry pruning."""
-    if not 2 <= n <= ENUMERATION_CAP:
-        raise ValueError("enumeration cap exceeded")
-    by_form: dict[bytes, FiniteEffectAlgebra] = {}
-    for inv in _all_involutions(list(range(1, n - 1))):
-        sigma = tuple(inv.get(i, i) for i in range(n))
-        for form, model in _search_stratum(n, sigma, prune=False):
-            by_form.setdefault(form, model)
-    return [by_form[f] for f in sorted(by_form)]
 
 
 # ---------------------------------------------------------------------------

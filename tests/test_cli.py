@@ -369,6 +369,12 @@ class TestExitCodeThree:
         code, _, err = run(capsys, "enumerate", "--max-size", "4")
         assert code == 3 and "canonical representative" in err
 
+    def test_incomplete_symmetry_pruning_exits_3(self, capsys, monkeypatch):
+        # without symmetry pruning, order 4 alone gives 4 leaves for 3 classes
+        monkeypatch.setattr(enumeration, "_centralizer_perms", lambda n, sigma: [])
+        code, _, err = run(capsys, "enumerate", "--max-size", "5")
+        assert code == 3 and "share one canonical form" in err
+
     def test_invariant_violation_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
         import effalg.cli as cli_mod
 

@@ -1,18 +1,20 @@
 """The enumeration engine against independent oracles, plus determinism."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 import effalg as ea
 from effalg import enumeration
-from effalg.enumeration import _enumerate_unpruned, _linearize
+from effalg.enumeration import _linearize
 
 # Engine-derived class counts.  Orders 2 and 3 are forced analytically,
 # order 4 is confirmed by the naive oracle below before being frozen, and
-# the higher orders were cross-checked against the unpruned engine variant.
-KNOWN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14}
+# orders up to 8 pass the orbit-stabiliser check below in every run (order
+# 9 and the 172 classes of order 10 passed it once, too slow to repeat).
+KNOWN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40, 9: 60}
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,41 @@ def brute_force_canonicalize(alg):
     return best, ea.permute(alg, best_pi)
 
 
+def record_leaves(monkeypatch):
+    """A list that collects every leaf the stratum search hands the labeller."""
+    leaves = []
+    labelled = enumeration.canonicalize
+
+    def recorded(alg):
+        leaves.append(alg)
+        return labelled(alg)
+
+    monkeypatch.setattr(enumeration, "canonicalize", recorded)
+    return leaves
+
+
+def unpruned_stratum(monkeypatch, n, pairs):
+    """Every labelled leaf of the stratum of sigma_k, with its canonical form.
+
+    Symmetry pruning is switched off, so each isomorphism class of the
+    stratum appears once per labelled table on the canonical involution.
+    """
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_centralizer_perms", lambda n, sigma: [])
+        leaves = record_leaves(m)
+        found = enumeration._search_stratum(n, enumeration._canonical_sigma(n, pairs))
+    return [(leaf, form) for leaf, (form, _) in zip(leaves, found, strict=True)]
+
+
+def automorphism_count(alg, perms):
+    """How many of perms map the table onto itself, by direct comparison."""
+    t, n = alg.table, alg.size
+    return sum(
+        all(t[pi[a]][pi[b]] == (None if t[a][b] is None else pi[t[a][b]])
+            for a in range(n) for b in range(n))
+        for pi in perms)
+
+
 def assert_labelled_as_brute_force(alg):
     form, canon = ea.canonicalize(alg)
     ref_form, ref = brute_force_canonicalize(alg)
@@ -215,8 +252,15 @@ class TestOrder4Oracle:
 
 class TestEngineInvariants:
     def test_known_counts(self):
-        got = ea.count(7)
+        got = ea.count(9)
         assert got == KNOWN_COUNTS
+
+    def test_one_leaf_per_class(self, monkeypatch):
+        leaves = record_leaves(monkeypatch)
+        for n in range(2, 9):
+            leaves.clear()
+            classes = len(ea.enumerate_up_to_iso(n))
+            assert len(leaves) == classes == KNOWN_COUNTS[n], n
 
     def test_emitted_models_are_valid_and_iso_free(self):
         for n in range(2, 7):
@@ -226,14 +270,32 @@ class TestEngineInvariants:
             assert len(set(forms)) == len(forms)
             assert forms == sorted(forms)  # output sorted by canonical form
 
-    def test_pruned_equals_unpruned(self):
-        for n in range(2, 8):
-            a = [ea.canonical_form(m) for m in ea.enumerate_up_to_iso(n)]
-            b = [ea.canonical_form(m) for m in _enumerate_unpruned(n)]
-            assert a == b
+    def test_orbit_stabiliser_counts(self, monkeypatch):
+        # Orbit-stabiliser on each unpruned stratum: the relabelings that
+        # respect the pinned structure form the centralizer C(sigma_k), of
+        # order k! 2^k (n-2-2k)!, and every automorphism lies in it.  So a
+        # class found as |orbit| labelled leaves has |C| / |orbit|
+        # automorphisms.  A labeller that splits or merges classes, or a
+        # search that misses some labelled tables of a class, breaks this.
+        for n in range(2, 9):
+            classes: set[bytes] = set()
+            for k in range((n - 2) // 2 + 1):
+                sigma = enumeration._canonical_sigma(n, k)
+                group = [tuple(range(n)), *enumeration._centralizer_perms(n, sigma)]
+                order = math.factorial(k) * 2 ** k * math.factorial(n - 2 - 2 * k)
+                assert len(group) == order, (n, k)
+                orbits: dict[bytes, list] = {}
+                for leaf, form in unpruned_stratum(monkeypatch, n, k):
+                    orbits.setdefault(form, []).append(leaf)
+                for orbit in orbits.values():
+                    assert len(orbit) * automorphism_count(orbit[0], group) == order, (n, k)
+                assert not classes & orbits.keys(), (n, k)  # strata are disjoint
+                classes |= orbits.keys()
+            pruned = [ea.canonical_form(m) for m in ea.enumerate_up_to_iso(n)]
+            assert sorted(classes) == pruned, n
 
     def test_order8_regression(self):
-        # engine-derived golden, frozen after the unpruned cross-check at <= 7
+        # engine-derived golden, frozen after the orbit-stabiliser check at <= 8
         models = ea.enumerate_up_to_iso(8)
         assert len(models) == 40
         assert all(ea.validate(m).valid for m in models)
@@ -269,7 +331,7 @@ class TestEngineInvariants:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            ea.enumerate_up_to_iso(9)
+            ea.enumerate_up_to_iso(11)
         with pytest.raises(ValueError):
             ea.enumerate_up_to_iso(1)
 
@@ -326,20 +388,18 @@ class TestCanonicalForm:
             assert_labelled_as_brute_force(m)
 
     def test_matches_brute_force_on_unpruned_leaves(self, monkeypatch):
-        # the unpruned engine labels every leaf of every involution stratum,
-        # most of them far from canonical
-        leaves = []
-        labelled = enumeration.canonicalize
-
-        def checked(alg):
-            leaves.append(alg)
-            assert_labelled_as_brute_force(alg)
-            return labelled(alg)
-
-        monkeypatch.setattr(enumeration, "canonicalize", checked)
-        for n in range(2, 7):
-            _enumerate_unpruned(n)
+        # every labelled leaf of every unpruned stratum, most of them far
+        # from canonical
+        leaves = [leaf for n in range(2, 8) for k in range((n - 2) // 2 + 1)
+                  for leaf, _ in unpruned_stratum(monkeypatch, n, k)]
+        for leaf in leaves:
+            assert_labelled_as_brute_force(leaf)
         assert len(leaves) > 100
+
+    def test_permute_refuses_non_permutations(self):
+        for pi in ((), (1, 0, 2), (0, 1, 1)):
+            with pytest.raises(ValueError, match="carrier permutation fixing 0"):
+                ea.permute(ea.chain(2), pi)
 
     def test_carriers_beyond_one_byte_are_refused(self):
         # 255 codes an undefined cell, so the top of boolean:8 (index 255)
