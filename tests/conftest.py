@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 import effalg as ea
+from effalg.core import _bits
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +64,17 @@ def even6_meetless_first():
 
 
 @pytest.fixture(scope="session")
+def reference_corpus():
+    """Every class of order 2-7 and three wider models: where rewritten
+    deciders are compared with their definitions."""
+    return [
+        *(m for n in range(2, 8) for m in ea.enumerate_up_to_iso(n)),
+        ea.boolean_algebra(4), ea.even_subset_omp(6),
+        ea.horizontal_sum(ea.boolean_algebra(2), ea.chain(3)),
+    ]
+
+
+@pytest.fixture(scope="session")
 def enumerated_le5():
     return [m for n in range(2, 6) for m in ea.enumerate_up_to_iso(n)]
 
@@ -79,3 +92,40 @@ def even_subset_index(m: int, mask: int) -> int:
     """
     masks = [x for x in range(1 << m) if bin(x).count("1") % 2 == 0]
     return masks.index(mask)
+
+
+def order_with_up(order, up):
+    """A copy of ``order`` with the up-sets ``up`` and ``down`` their transpose,
+    so that ``le``, ``least`` and ``minimal`` all read the one relation."""
+    down = [0] * order.size
+    for x, mask in enumerate(up):
+        for y in _bits(mask):
+            down[y] |= 1 << x
+    return dataclasses.replace(order, up=tuple(up), down=tuple(down))
+
+
+def bend_order(order, rng):
+    """A copy of ``order`` with one to three relations x < y cut and up to
+    two x <= y added, none of them in the up-sets of 0 and of the unit.
+
+    The laws a decider checks hold on every valid model; a bent order
+    breaks them, so that failing verdicts and their first witnesses get
+    compared too.
+    """
+    n = order.size
+    up = list(order.up)
+    rows = [x for x in range(1, n) if up[x] != 1 << x]
+    strict = [(x, y) for x in rows for y in _bits(up[x]) if x != y]
+    for x, y in rng.sample(strict, min(rng.randint(1, 3), len(strict))):
+        up[x] &= ~(1 << y)
+    for _ in range(rng.randint(0, 2) if rows else 0):
+        up[rng.choice(rows)] |= 1 << rng.randrange(1, n)
+    return order_with_up(order, up)
+
+
+def bent_copies(alg, count=6):
+    """``count`` bent orders of ``alg``, each paired with a fresh copy of the
+    model (an empty memo), from a seed fixed by the model."""
+    rng = random.Random(alg.size * 1009 + len(list(alg.defined_pairs())))
+    order = ea.derive_order(alg)
+    return [(dataclasses.replace(alg), bend_order(order, rng)) for _ in range(count)]

@@ -11,7 +11,7 @@ from effalg import properties
 from effalg.core import InvariantViolation, _bits
 from effalg.properties import Decision, _ortho_scan
 
-from conftest import even_subset_index
+from conftest import bent_copies, even_subset_index, order_with_up
 
 
 def _plain_ortho_scan(alg, order):
@@ -67,6 +67,47 @@ def _plain_ortho_scan(alg, order):
     return oc, woc, count
 
 
+def _disjunctive_by_definition(alg, order):
+    """Whenever a is not below b, some nonzero c <= a has 0 as its only
+    common lower bound with b.  Pairs a-major, so the first witness is the
+    one ``is_disjunctive`` must return."""
+    n = alg.size
+    le = order.le
+    lower = [{x for x in range(n) if le(x, c)} for c in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if le(a, b):
+                continue
+            if not any(c != 0 and le(c, a) and lower[c] & lower[b] == {0} for c in range(n)):
+                return Decision(False, (a, b))
+    return Decision(True)
+
+
+def _lattice_by_definition(alg, order):
+    """Every pair a < b has a join and a meet, the meet read as (a′ ∨ b′)′.
+
+    Returns the lattice flag and the witness ``classify`` must record.
+    """
+    n = alg.size
+    le = order.le
+    supp = order.supplement
+
+    def join(a, b):
+        ubs = [u for u in range(n) if le(a, u) and le(b, u)]
+        return next((u for u in ubs if all(le(u, w) for w in ubs)), None), ubs
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            least, ubs = join(a, b)
+            if least is None:
+                minimal = [m for m in ubs if not any(w != m and le(w, m) for w in ubs)]
+                return False, {"kind": "no_supremum", "pair": (a, b),
+                               "minimal_upper_bounds": minimal}
+            if join(supp[a], supp[b])[0] is None:
+                return False, {"kind": "no_infimum", "pair": (a, b)}
+    return True, None
+
+
 class TestPrincipal:
     def test_even6_all_principal(self, even6):
         assert all(ea.is_principal(even6, a) for a in range(even6.size))
@@ -110,6 +151,47 @@ class TestClassify:
         assert cls.witnesses["lattice"] == {"kind": "no_infimum", "pair": (1, 2)}
         assert ea.supremum(even6_meetless_first, (1, 2)) == even6_meetless_first.one
         assert ea.infimum(even6_meetless_first, (1, 2)) is None
+
+    def test_lattice_loop_matches_definition(self, reference_corpus, even6_meetless_first):
+        kinds = set()
+        for alg in reference_corpus + [even6_meetless_first]:
+            cls = ea.classify(alg)
+            expected = _lattice_by_definition(alg, ea.derive_order(alg))
+            assert (cls.lattice, cls.witnesses.get("lattice")) == expected, alg.name
+            kinds.add(None if expected[1] is None else expected[1]["kind"])
+        assert kinds == {None, "no_supremum", "no_infimum"}
+
+    def test_lattice_loop_matches_definition_on_bent_orders(self, reference_corpus, monkeypatch):
+        witnesses = []
+        for alg in reference_corpus:
+            for model, bent in bent_copies(alg):
+                monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
+                cls = ea.classify(model)
+                expected = _lattice_by_definition(model, bent)
+                assert (cls.lattice, cls.witnesses.get("lattice")) == expected, alg.name
+                witnesses.append(expected[1])
+        # most bent orders fail, at pairs of both kinds and past the first row
+        failed = [w for w in witnesses if w is not None]
+        assert len(failed) > len(witnesses) // 2
+        assert {w["kind"] for w in failed} == {"no_supremum", "no_infimum"}
+        assert len({w["pair"] for w in failed}) > 10
+        assert any(w["pair"][0] > 0 for w in failed)
+
+    def test_a_self_dual_pair_is_checked(self, monkeypatch):
+        # boolean:3 by subset masks, with {a,b} put below {a,c} and {b,c}.
+        # Every pair before ({a,b}, {c}) has both joins, and that pair, its
+        # own supplement pair, has the two minimal upper bounds {a,c}, {b,c}.
+        alg = ea.boolean_algebra(3)
+        order = ea.derive_order(alg)
+        up = list(order.up)
+        up[0b011] |= 1 << 0b101 | 1 << 0b110
+        bent = order_with_up(order, up)
+        assert sorted((bent.supplement[0b011], bent.supplement[0b100])) == [0b011, 0b100]
+        monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
+        witness = {"kind": "no_supremum", "pair": (0b011, 0b100),
+                   "minimal_upper_bounds": [0b101, 0b110]}
+        assert _lattice_by_definition(alg, bent) == (False, witness)
+        assert ea.classify(alg).witnesses["lattice"] == witness
 
     def test_even2_is_two_element_algebra(self):
         assert ea.even_subset_omp(2).size == 2
@@ -193,12 +275,8 @@ class TestOrthoatomistic:
         assert ea.is_orthoatomistic_sets(ea.chain(1))
 
     @pytest.fixture(scope="class")
-    def atom_corpus(self, small_corpus):
-        return small_corpus + [
-            *(m for n in range(2, 8) for m in ea.enumerate_up_to_iso(n)),
-            ea.chain(9), ea.boolean_algebra(4), ea.even_subset_omp(6),
-            ea.horizontal_sum(ea.boolean_algebra(2), ea.chain(3)),
-        ]
+    def atom_corpus(self, small_corpus, reference_corpus):
+        return small_corpus + reference_corpus + [ea.chain(9)]
 
     def test_set_variant_matches_brute_force(self, atom_corpus):
         # reference: fold every subset of the atoms, each atom at most once
@@ -226,6 +304,22 @@ class TestDisjunctive:
     def test_boolean_and_even6(self, boolean3, even6):
         assert ea.is_disjunctive(boolean3).ok
         assert ea.is_disjunctive(even6).ok
+
+    def test_matches_definition(self, reference_corpus):
+        verdicts = [ea.is_disjunctive(alg) for alg in reference_corpus]
+        assert verdicts == [_disjunctive_by_definition(alg, ea.derive_order(alg))
+                            for alg in reference_corpus]
+        assert {v.ok for v in verdicts} == {True, False}
+
+    def test_matches_definition_on_bent_orders(self, reference_corpus, monkeypatch):
+        witnesses = []
+        for alg in reference_corpus:
+            for model, bent in bent_copies(alg):
+                monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
+                verdict = ea.is_disjunctive(model)
+                assert verdict == _disjunctive_by_definition(model, bent), alg.name
+                witnesses.append(verdict.witness)
+        assert len(set(witnesses) - {None}) > 20
 
 
 class TestOrthocompleteness:

@@ -1,9 +1,29 @@
 """Executable-law checks on individual models and over the enumeration."""
 
+import random
+
 import pytest
 
 import effalg as ea
-from effalg.theorems import CHECK_IDS, FAIL, PASS, VACUOUS, run_all, run_exhaustive
+from effalg import theorems
+from effalg.theorems import (
+    CHECK_IDS, FAIL, PASS, VACUOUS, CheckResult, _cancellation, run_all, run_exhaustive)
+
+from conftest import bent_copies
+
+
+def _cancellation_by_definition(alg, order):
+    """a⊕b <= a⊕c implies b <= c, over every triple with both sums defined;
+    the first failing triple in (a, b, c) order is the witness."""
+    n = alg.size
+    lab = alg.label
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                ab, ac = alg.sum_of(a, b), alg.sum_of(a, c)
+                if ab is not None and ac is not None and order.le(ab, ac) and not order.le(b, c):
+                    return CheckResult(FAIL, {"a": lab(a), "b": lab(b), "c": lab(c)})
+    return CheckResult(PASS)
 
 
 class TestRunAll:
@@ -50,6 +70,40 @@ class TestRunAll:
         with pytest.raises(ea.InvariantViolation):
             ea.profile(model)
         assert run_all(model).failed == ("omp_iff_principal_iff_join",)
+
+    def test_cancellation_matches_definition(self, reference_corpus):
+        for alg in reference_corpus:
+            assert run_all(alg).results["cancellation"] \
+                == _cancellation_by_definition(alg, ea.derive_order(alg)) == CheckResult(PASS)
+
+    def test_cancellation_matches_definition_on_bent_orders(self, reference_corpus, monkeypatch):
+        # a bent order breaks cancellation; only the check reads the bent
+        # order, every decider still reads the real one
+        witnesses = []
+        for alg in reference_corpus:
+            for model, bent in bent_copies(alg):
+                monkeypatch.setattr(theorems, "derive_order", lambda _alg: bent)
+                result = run_all(model).results["cancellation"]
+                assert result == _cancellation_by_definition(model, bent), alg.name
+                witnesses.append(result.witness)
+        failed = [tuple(w.values()) for w in witnesses if w is not None]
+        assert len(failed) > len(witnesses) // 4
+        assert len(set(failed)) > 15
+
+    def test_cancellation_matches_definition_on_broken_tables(self, reference_corpus):
+        # one cell overwritten: a⊕c = a⊕c' for some c != c' is possible, and
+        # the check must still find the first failing triple of the table
+        rng = random.Random(3)
+        statuses = set()
+        for alg in reference_corpus:
+            order = ea.derive_order(alg)
+            for _ in range(4):
+                a, b, v = (rng.randrange(alg.size) for _ in range(3))
+                broken = alg.with_entry(a, b, v)
+                result = _cancellation(broken, order.up)
+                assert result == _cancellation_by_definition(broken, order), alg.name
+                statuses.add(result.status)
+        assert statuses == {PASS, FAIL}
 
     def test_invalid_model_rejected(self):
         broken = ea.chain(3).with_entry(1, 2, None)  # 1 loses its supplement
