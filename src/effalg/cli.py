@@ -18,7 +18,6 @@ from .core import FiniteEffectAlgebra, InvalidModelError, InvariantViolation, de
 from .enumeration import ENUMERATION_CAP, SearchConstraint, enumerate_up_to_iso, search
 from .models import EfaParseError
 from .properties import PROFILE_FLAGS, atoms, profile
-from .symbolic import balanced, blocks, extended_chain, fincof
 from .theorems import CHECK_IDS, run_exhaustive
 
 WITNESS_NAMES = ("ex34", "ex36-meet", "ex36-sup", "ex38", "ex39")
@@ -248,30 +247,31 @@ def cmd_search(args) -> int:
 # witnesses
 
 
-# Refutation witnesses: claim, bound-shaped and arbitrary candidate draws,
-# refuter.  Half the candidates (rounded down) are arbitrary elements, drawn
-# after the bounds.
-_REFUTATIONS = {
-    "ex34": (fincof.CLAIM, fincof.random_upper_bound, fincof.random_element,
-             fincof.refute_upper_bound_candidate),
-    "ex36-meet": (blocks.MEET_CLAIM, blocks.random_common_lower_bound, blocks.random_element,
-                  blocks.refute_meet_candidate),
-    "ex36-sup": (blocks.SUP_CLAIM, blocks.random_b1_upper_bound, blocks.random_element,
-                 blocks.refute_singleton_sup_candidate),
-}
-
-
 def cmd_witness(args) -> int:
+    # The symbolic families are imported on this path only: no other
+    # command uses them, and every invocation pays for module-level imports.
     text = not args.json
-    if args.name in _REFUTATIONS:
+    if args.name == "ex38":
+        code, payload = _witness_ex38(args.target, args.depth, text)
+    elif args.name == "ex39":
+        code, payload = _witness_ex39(args.depth, text)
+    else:
+        from .symbolic import blocks, fincof
+
+        # Refutation witnesses: claim, bound-shaped and arbitrary candidate
+        # draws, refuter.  Half the candidates (rounded down) are arbitrary
+        # elements, drawn after the bounds.
+        spec = {
+            "ex34": (fincof.CLAIM, fincof.random_upper_bound, fincof.random_element,
+                     fincof.refute_upper_bound_candidate),
+            "ex36-meet": (blocks.MEET_CLAIM, blocks.random_common_lower_bound,
+                          blocks.random_element, blocks.refute_meet_candidate),
+            "ex36-sup": (blocks.SUP_CLAIM, blocks.random_b1_upper_bound, blocks.random_element,
+                         blocks.refute_singleton_sup_candidate),
+        }[args.name]
         if args.candidates < 1:
             raise ValueError("--candidates must be at least 1")
-        code, payload = _run_refutations(
-            _REFUTATIONS[args.name], random.Random(args.seed), args.candidates, text)
-    elif args.name == "ex38":
-        code, payload = _witness_ex38(args.target, args.depth, text)
-    else:
-        code, payload = _witness_ex39(args.depth, text)
+        code, payload = _run_refutations(spec, random.Random(args.seed), args.candidates, text)
     if args.json:
         doc = {
             "model": {"name": args.name, "size": None},
@@ -312,6 +312,8 @@ def _run_refutations(spec, rng: random.Random, k: int, text: bool) -> tuple[int,
 
 
 def _witness_ex38(target: int, depth: int, text: bool) -> tuple[int, dict]:
+    from .symbolic import extended_chain
+
     rep = extended_chain.not_orthoatomistic_report(target, depth)
     if text:
         print(f"claim: {rep.target.describe()} is not a sum of atoms")
@@ -346,6 +348,8 @@ def _witness_ex38(target: int, depth: int, text: bool) -> tuple[int, dict]:
 
 
 def _witness_ex39(depth: int, text: bool) -> tuple[int, dict]:
+    from .symbolic import balanced
+
     analysis = balanced.two_minimal_upper_bounds(depth)
     if text:
         print("orthogonal system: the pairs {x_i, y_(i+1)} for i >= 1")

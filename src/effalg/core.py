@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import wraps
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
 # A finite multiset of elements: mapping element -> multiplicity >= 1
@@ -179,15 +179,13 @@ def per_model(fn: Callable[[FiniteEffectAlgebra], Any]) -> Callable[[FiniteEffec
     return memoised
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str  # "A1" | "A2" | "A3" | "A4"
     witness: tuple[int, ...]
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     violations: tuple[Violation, ...]
 

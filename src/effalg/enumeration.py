@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import FiniteEffectAlgebra, InvariantViolation, validate
 from .properties import PROFILE_FLAGS, profile
@@ -209,8 +209,7 @@ def _centralizer_perms(n: int, sigma: Sequence[int]) -> list[tuple[int, ...]]:
 # the backtracking search over one supplement stratum
 
 
-@dataclass(frozen=True)
-class _PermData:
+class _PermData(NamedTuple):
     inv_cell: tuple[int, ...]   # free-cell index of the pi-preimage of each free cell
     value_map: tuple[int, ...]  # value relabeling; index n encodes "undefined"
 
@@ -420,8 +419,7 @@ class SearchConstraint:
             raise ValueError(f"max_size must lie in 2..{ENUMERATION_CAP}")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     model: FiniteEffectAlgebra | None
     certificate: str
 

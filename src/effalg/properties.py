@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .core import (
     FiniteEffectAlgebra,
@@ -40,8 +39,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """A boolean verdict plus whatever evidence the decider produced."""
 
     ok: bool
@@ -51,8 +49,7 @@ class Decision:
         return self.ok
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     orthoalgebra: bool
     omp: bool
     omp_by_joins: bool
@@ -331,8 +328,7 @@ class ScanBudgetExceeded(ValueError):
     """The orthogonal-system scan of a model would pass one of its bounds."""
 
 
-@dataclass(frozen=True)
-class OrthoScan:
+class OrthoScan(NamedTuple):
     orthocomplete: Decision
     weakly_orthocomplete: Decision
     systems_checked: int
@@ -472,8 +468,7 @@ PROFILE_FLAGS = (
 )
 
 
-@dataclass(frozen=True)
-class PropertyProfile:
+class PropertyProfile(NamedTuple):
     orthoalgebra: bool
     omp: bool
     oml: bool

@@ -12,7 +12,7 @@ exit code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .core import FiniteEffectAlgebra, _bits, derive_order
 from .enumeration import enumerate_up_to_iso
@@ -47,14 +47,12 @@ CHECK_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     status: str  # pass | fail | vacuous
     witness: Any = None
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     model_name: str
     results: Mapping[str, CheckResult]
 

@@ -1,7 +1,12 @@
 """End-to-end command-line behaviour, exit codes, and report formats."""
 
+import ast
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -396,3 +401,25 @@ class TestSearchOutputIsLoadable:
         alg = ea.load(path)
         assert ea.validate(alg).valid
         assert dumps(alg).count("sum:") == 1
+
+
+class TestImportContract:
+    def test_cli_import_loads_the_traced_modules_and_not_symbolic(self):
+        # The benchmark's tracer rebinds functions only in the modules that
+        # `import effalg.cli` loads; the symbolic families serve `witness`
+        # alone and stay unloaded until it runs.
+        tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        traced = next(
+            ast.literal_eval(node.value)
+            for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+        src = str(Path(ea.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, effalg.cli; print(*sorted(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "effalg.symbolic" not in loaded
+        assert {f"effalg.{short}" for short in traced} <= loaded

@@ -3,13 +3,16 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import pytest
 
 import effalg as ea
 from effalg import properties
-from effalg.core import InvariantViolation, _bits
-from effalg.properties import Decision, _ortho_scan
+from effalg.core import InvariantViolation, ValidationReport, Violation, _bits
+from effalg.enumeration import SearchResult, _PermData
+from effalg.properties import Classification, Decision, OrthoScan, PropertyProfile, _ortho_scan
+from effalg.theorems import CheckResult, TheoremReport
 
 from conftest import bent_copies, even_subset_index, order_with_up
 
@@ -460,3 +463,82 @@ class TestProfile:
         prof = ea.profile(even6)
         assert prof.witnesses["lattice"]["kind"] == "no_supremum"
         assert len(prof.witnesses["orthoatomistic"]) == even6.size - 1
+
+
+# every record with its repr, as the frozen dataclasses printed it
+RECORD_REPRS = [
+    (Violation("A4", (1,), "m"), "Violation(axiom='A4', witness=(1,), message='m')"),
+    (ValidationReport(True, ()), "ValidationReport(valid=True, violations=())"),
+    (Decision(True), "Decision(ok=True, witness=None)"),
+    (Classification(True, True, True, False, False, {}),
+     "Classification(orthoalgebra=True, omp=True, omp_by_joins=True, lattice=False, "
+     "oml=False, witnesses={})"),
+    (OrthoScan(Decision(True), Decision(False, (1,)), 3, 2),
+     "OrthoScan(orthocomplete=Decision(ok=True, witness=None), "
+     "weakly_orthocomplete=Decision(ok=False, witness=(1,)), systems_checked=3, states=2)"),
+    (PropertyProfile(*[True] * 12, atoms=(1,), witnesses={}),
+     "PropertyProfile(orthoalgebra=True, omp=True, oml=True, lattice=True, "
+     "archimedean=True, orthocomplete=True, weakly_orthocomplete=True, atomic=True, "
+     "atomistic=True, orthoatomistic=True, orthoatomistic_sets=True, disjunctive=True, "
+     "atoms=(1,), witnesses={})"),
+    (CheckResult("pass"), "CheckResult(status='pass', witness=None)"),
+    (TheoremReport("m", {}), "TheoremReport(model_name='m', results={})"),
+    (_PermData((0,), (1, 2)), "_PermData(inv_cell=(0,), value_map=(1, 2))"),
+    (SearchResult(None, "c"), "SearchResult(model=None, certificate='c')"),
+]
+
+
+RECORDS = tuple(type(r) for r, _ in RECORD_REPRS)
+
+
+def _holds_record(value) -> bool:
+    """Whether a witness payload has a result record anywhere inside it.
+
+    Records are tuples, and the JSON report renders every tuple as a list,
+    so a record inside a witness would change the report.
+    """
+    if isinstance(value, RECORDS):
+        return True
+    if isinstance(value, dict):
+        return any(_holds_record(k) or _holds_record(v) for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return any(_holds_record(v) for v in value)
+    return False
+
+
+class TestResultRecords:
+    @pytest.mark.parametrize("record, text", RECORD_REPRS,
+                             ids=[type(r).__name__ for r, _ in RECORD_REPRS])
+    def test_repr_and_immutability(self, record, text):
+        assert repr(record) == text
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+
+    def test_methods(self, chain5):
+        assert not Decision(False, 3) and Decision(True)
+        prof = ea.profile(chain5)
+        assert type(prof) is PropertyProfile
+        assert list(prof.flags()) == list(properties.PROFILE_FLAGS)
+        report = TheoremReport("m", {"x": CheckResult("pass"), "y": CheckResult("fail", 1)})
+        assert report.failed == ("y",) and not report.all_pass
+        assert ea.run_all(chain5).all_pass
+        broken = ea.chain(3).with_entry(1, 2, None)
+        assert ea.validate(broken).axiom_ids() == {"A3"}
+
+    def test_analysed_model_round_trips_its_records(self, even6):
+        ea.validate(even6)
+        ea.profile(even6)
+        ea.run_all(even6)
+        copy = pickle.loads(pickle.dumps(even6))
+        assert copy == even6
+        records = {k: v for k, v in even6._memo.items() if isinstance(v, RECORDS)}
+        assert {"validate", "classify", "_ortho_scan", "is_orthoatomistic"} <= set(records)
+        for key, value in records.items():
+            assert type(copy._memo[key]) is type(value) and copy._memo[key] == value
+
+    def test_no_witness_holds_a_record(self, reference_corpus, chain5, boolean3, even6):
+        for alg in reference_corpus + [chain5, boolean3, even6]:
+            for name, witness in ea.profile(alg).witnesses.items():
+                assert not _holds_record(witness), (alg.name, name)
+            for cid, result in ea.run_all(alg).results.items():
+                assert not _holds_record(result.witness), (alg.name, cid)
