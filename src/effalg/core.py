@@ -26,12 +26,11 @@ Derived facts (validation report, order, classification, ...) are
 memoised on the model object by ``per_model`` and live as long as it does.
 The memo is write-once and takes no part in equality, hashing or repr, so
 an analysed model still pickles, and compares and hashes like a fresh one;
-``dataclasses.replace`` and the other copying constructors start empty.
+``_replace`` and the other copying constructors start empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import wraps
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -60,30 +59,30 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class FiniteEffectAlgebra:
     """A finite partial-sum table with designated zero (index 0) and unit.
 
     ``table`` is the symmetric sum table: ``table[a][b]`` and
     ``table[b][a]`` both hold the sum a + b, or ``None``.
     ``labels`` and ``name`` are presentation only and do not take part in
-    equality or hashing.
+    equality or hashing.  Attributes cannot be assigned or deleted; copy
+    with changes through ``_replace``.
     """
 
     size: int
     one: int
     table: tuple[tuple[int | None, ...], ...]
-    labels: tuple[str, ...] = field(default=(), compare=False)
-    name: str = field(default="", compare=False)
-    _memo: dict[str, Any] = field(default_factory=dict, init=False, compare=False, repr=False)
+    labels: tuple[str, ...]
+    name: str
+    _memo: dict[str, Any]
 
-    def __post_init__(self) -> None:
-        n = self.size
+    def __init__(self, size: int, one: int, table: tuple[tuple[int | None, ...], ...],
+                 labels: tuple[str, ...] = (), name: str = "") -> None:
+        n = size
         if n < 2:
             raise ValueError("an effect algebra needs at least the two elements 0 and 1")
-        if not 1 <= self.one < n:
-            raise ValueError(f"unit index {self.one} out of range (zero is pinned to 0)")
-        table = self.table
+        if not 1 <= one < n:
+            raise ValueError(f"unit index {one} out of range (zero is pinned to 0)")
         if not isinstance(table, tuple) or len(table) != n or any(
                 not isinstance(row, tuple) or len(row) != n for row in table):
             raise ValueError(f"the sum table must be a tuple of {n} row tuples of {n} cells")
@@ -94,8 +93,32 @@ class FiniteEffectAlgebra:
             for v in row:
                 if v is not None and not 0 <= v < n:
                     raise ValueError(f"table entry {v!r} out of range")
-        if self.labels and len(self.labels) != n:
+        if labels and len(labels) != n:
             raise ValueError("labels must cover the whole carrier")
+        # Written straight into the instance dict, as unpickling does:
+        # __setattr__ refuses every assignment.
+        self.__dict__.update(size=size, one=one, table=table, labels=labels, name=name,
+                             _memo={})
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign {name!r}: models are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: models are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.one, self.table) == (other.size, other.one, other.table)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.one, self.table))
+
+    def _replace(self, **changes: Any) -> "FiniteEffectAlgebra":
+        """A new model with some fields changed, checked like any other and
+        with an empty memo."""
+        return type(self)(**{"size": self.size, "one": self.one, "table": self.table,
+                             "labels": self.labels, "name": self.name, **changes})
 
     @classmethod
     def from_entries(
@@ -154,7 +177,7 @@ class FiniteEffectAlgebra:
             raise ValueError(f"element pair ({a}, {b}) out of range for carrier of size {n}")
         rows = list(map(list, self.table))
         rows[a][b] = rows[b][a] = value
-        return replace(self, table=tuple(map(tuple, rows)))
+        return self._replace(table=tuple(map(tuple, rows)))
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
@@ -263,8 +286,7 @@ def require_valid(alg: FiniteEffectAlgebra) -> None:
             f"not an effect algebra ({len(report.violations)} violations; first: {first.axiom} {first.message})")
 
 
-@dataclass(frozen=True, eq=False)
-class OrderRelation:
+class OrderRelation(NamedTuple):
     """The induced order of a valid model, with supplement and difference.
 
     ``up[a]`` / ``down[a]`` are bitmasks of {b : a <= b} / {b : b <= a}.

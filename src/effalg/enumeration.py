@@ -35,8 +35,7 @@ labeling is ever cut.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .core import FiniteEffectAlgebra, InvariantViolation, validate
 from .properties import PROFILE_FLAGS, profile
@@ -389,7 +388,7 @@ def enumerate_up_to_iso(n: int) -> list[FiniteEffectAlgebra]:
                     f"two order-{n} leaves share one canonical form (incomplete symmetry pruning)")
             by_form[form] = model
     forms = sorted(by_form)
-    ordered = [replace(by_form[f], name=f"enum:{n}:{i}") for i, f in enumerate(forms)]
+    ordered = [by_form[f]._replace(name=f"enum:{n}:{i}") for i, f in enumerate(forms)]
     if any(_linearize(m, range(n), range(n), None) != f for f, m in zip(forms, ordered)):
         raise InvariantViolation(f"an order-{n} model is not its own canonical representative")
     return ordered
@@ -404,19 +403,33 @@ def count(n: int) -> dict[int, int]:
 # constrained search
 
 
-@dataclass(frozen=True)
-class SearchConstraint:
+class _SearchConstraintFields(NamedTuple):
     required: frozenset[str]
     forbidden: frozenset[str]
     max_size: int
 
-    def __post_init__(self) -> None:
-        unknown = (self.required | self.forbidden) - set(PROFILE_FLAGS)
+
+class SearchConstraint(_SearchConstraintFields):
+    """Properties a searched model must have and must lack, and the largest
+    order to search; the fields are checked whenever one is built, by
+    ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, required: frozenset[str], forbidden: frozenset[str],
+                max_size: int) -> "SearchConstraint":
+        unknown = (required | forbidden) - set(PROFILE_FLAGS)
         if unknown:
             raise ValueError(f"unknown property names: {', '.join(sorted(unknown))}; "
                              f"known: {', '.join(PROFILE_FLAGS)}")
-        if not 2 <= self.max_size <= ENUMERATION_CAP:
+        if not 2 <= max_size <= ENUMERATION_CAP:
             raise ValueError(f"max_size must lie in 2..{ENUMERATION_CAP}")
+        return super().__new__(cls, required, forbidden, max_size)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "SearchConstraint":
+        # NamedTuple's _replace builds through _make, which skips __new__
+        return cls(*iterable)
 
 
 class SearchResult(NamedTuple):

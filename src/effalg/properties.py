@@ -71,17 +71,19 @@ def atoms_below(alg: FiniteEffectAlgebra, a: int) -> tuple[int, ...]:
 
 
 def is_principal(alg: FiniteEffectAlgebra, a: int) -> bool:
-    """b + c <= a whenever b, c <= a and b + c is defined (b = c allowed)."""
+    """b + c <= a whenever b, c <= a and b + c is defined (b = c allowed).
+
+    For b <= a, b + c is defined iff c <= b′, and then b + c <= a iff
+    c <= a ⊖ b; so one mask test per b decides it.
+    """
     _check_element(a, alg.size)
     order = derive_order(alg)
-    rows = alg.table
-    below = list(order.below(a))
-    for i, b in enumerate(below):
-        row = rows[b]
-        for c in below[i:]:
-            s = row[c]
-            if s is not None and not order.le(s, a):
-                return False
+    down, supp, ominus = order.down, order.supplement, order.ominus
+    below = down[a]
+    for b in _bits(below):
+        rest = ominus.get((a, b))  # absent only if the order is not the table's
+        if below & down[supp[b]] & ~(0 if rest is None else down[rest]):
+            return False
     return True
 
 

@@ -8,7 +8,6 @@ The schema shipped at ``data/report.schema.json`` pins the layout.
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 from typing import Any
 
@@ -18,6 +17,10 @@ from .theorems import CHECK_IDS, TheoremReport, run_all
 
 
 def schema() -> dict:
+    # imported here: from Python 3.12 on, importlib.resources loads inspect,
+    # and no command reads the schema
+    import importlib.resources
+
     data = importlib.resources.files("effalg").joinpath("data/report.schema.json")
     return json.loads(data.read_text(encoding="utf-8"))
 

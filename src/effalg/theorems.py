@@ -11,7 +11,6 @@ exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .core import FiniteEffectAlgebra, _bits, derive_order
@@ -160,13 +159,16 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
     return TheoremReport(alg.name or f"model(size={n})", results)
 
 
-@dataclass
 class ExhaustiveSummary:
-    max_size: int
-    models_per_size: dict[int, int] = field(default_factory=dict)
-    tallies: dict[str, dict[str, int]] = field(default_factory=dict)
-    failures: list[tuple[int, str, str, Any]] = field(default_factory=list)
-    duplicate_forms: int = 0
+    """What ``run_exhaustive`` saw: models per order, per-check tallies,
+    failures as (order, model name, check id, witness) and repeated models."""
+
+    def __init__(self, max_size: int) -> None:
+        self.max_size = max_size
+        self.models_per_size: dict[int, int] = {}
+        self.tallies: dict[str, dict[str, int]] = {}
+        self.failures: list[tuple[int, str, str, Any]] = []
+        self.duplicate_forms = 0
 
     @property
     def total_models(self) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -101,7 +100,7 @@ def order_with_up(order, up):
     for x, mask in enumerate(up):
         for y in _bits(mask):
             down[y] |= 1 << x
-    return dataclasses.replace(order, up=tuple(up), down=tuple(down))
+    return order._replace(up=tuple(up), down=tuple(down))
 
 
 def bend_order(order, rng):
@@ -128,4 +127,4 @@ def bent_copies(alg, count=6):
     model (an empty memo), from a seed fixed by the model."""
     rng = random.Random(alg.size * 1009 + len(list(alg.defined_pairs())))
     order = ea.derive_order(alg)
-    return [(dataclasses.replace(alg), bend_order(order, rng)) for _ in range(count)]
+    return [(alg._replace(), bend_order(order, rng)) for _ in range(count)]

@@ -423,3 +423,6 @@ class TestImportContract:
         loaded = set(proc.stdout.split())
         assert "effalg.symbolic" not in loaded
         assert {f"effalg.{short}" for short in traced} <= loaded
+        # models, orders and records are built without dataclasses, whose
+        # import pulls in inspect, ast and dis
+        assert not {"dataclasses", "inspect"} & loaded

@@ -44,6 +44,42 @@ class TestConstruction:
             chain5.with_entry(-1, 1, None)  # would wrap to the last row
 
 
+class TestModelCopies:
+    def test_replace_checks_like_the_constructor(self, chain5):
+        with pytest.raises(ValueError, match="unit index 0 out of range"):
+            chain5._replace(one=0)
+        rows = [list(row) for row in chain5.table]
+        rows[1][2] = None  # (2, 1) still holds 3
+        with pytest.raises(ValueError, match="not symmetric in row 1"):
+            chain5._replace(table=tuple(map(tuple, rows)))
+        with pytest.raises(TypeError):
+            chain5._replace(_memo={})
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        model = ea.chain(3)
+        for field in ("size", "one", "table", "labels", "name", "_memo", "other"):
+            with pytest.raises(AttributeError):
+                setattr(model, field, None)
+            with pytest.raises(AttributeError):
+                delattr(model, field)
+        assert model == ea.chain(3) and model.name == ea.chain(3).name
+
+    def test_equality_and_hash_ignore_labels_and_name(self, boolean3):
+        relabelled = boolean3._replace(labels=tuple(f"x{i}" for i in range(8)), name="other")
+        assert relabelled == boolean3 and hash(relabelled) == hash(boolean3)
+        assert (relabelled.labels, relabelled.name) != (boolean3.labels, boolean3.name)
+        assert relabelled != boolean3.with_entry(1, 2, None)
+        assert boolean3 != (boolean3.size, boolean3.one, boolean3.table)
+
+    def test_replace_starts_with_an_empty_memo(self, boolean3):
+        ea.profile(boolean3)
+        assert boolean3._memo
+        copy = boolean3._replace(name="copy")
+        assert not copy._memo and copy.table is boolean3.table
+        assert ea.profile(copy) == ea.profile(boolean3)
+        assert not boolean3._replace()._memo
+
+
 class TestSymmetricTable:
     @staticmethod
     def assert_symmetric(alg):

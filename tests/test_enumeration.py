@@ -443,3 +443,12 @@ class TestSearch:
     def test_unknown_property_name(self):
         with pytest.raises(ValueError, match="unknown property"):
             ea.SearchConstraint(frozenset({"modular"}), frozenset(), 4)
+
+    def test_replace_checks_the_fields(self):
+        constraint = ea.SearchConstraint(frozenset({"atomic"}), frozenset(), 4)
+        with pytest.raises(ValueError, match="max_size must lie in 2..10"):
+            constraint._replace(max_size=99)
+        with pytest.raises(ValueError, match="unknown property"):
+            constraint._replace(forbidden=frozenset({"modular"}))
+        assert constraint._replace(max_size=6) == \
+            ea.SearchConstraint(frozenset({"atomic"}), frozenset(), 6)

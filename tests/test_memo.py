@@ -10,7 +10,6 @@ import pickle
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -82,7 +81,7 @@ class TestAnalysedModelIsAPlainValue:
         assert ea.profile(copy) == prof
         assert build_report(copy) == build_report(fresh)
 
-        renamed = replace(model, name="renamed")
+        renamed = model._replace(name="renamed")
         assert renamed == model and hash(renamed) == hash(model)
         assert run_all(renamed).model_name == "renamed"
         assert build_report(renamed)["model"]["name"] == "renamed"

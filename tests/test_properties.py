@@ -1,6 +1,5 @@
 """Property deciders and their cross-property laws."""
 
-import dataclasses
 import itertools
 import math
 import pickle
@@ -111,7 +110,29 @@ def _lattice_by_definition(alg, order):
     return True, None
 
 
+def _principal_by_definition(alg, a):
+    """b + c <= a for every defined sum of two elements below a."""
+    order = ea.derive_order(alg)
+    below = list(order.below(a))
+    for i, b in enumerate(below):
+        for c in below[i:]:
+            s = alg.table[b][c]
+            if s is not None and not order.le(s, a):
+                return False
+    return True
+
+
 class TestPrincipal:
+    def test_matches_definition(self):
+        models = [m for n in range(2, 9) for m in ea.enumerate_up_to_iso(n)]
+        models += [ea.parse_recipe(r) for r in (
+            "chain:5", "boolean:3", "boolean:4", "even_subsets:6",
+            "horizontal_sum(boolean:2,chain:3)", "horizontal_sum(chain:2,chain:2)")]
+        verdicts = [[ea.is_principal(alg, a) for a in range(alg.size)] for alg in models]
+        assert verdicts == [[_principal_by_definition(alg, a) for a in range(alg.size)]
+                            for alg in models]
+        assert {v for row in verdicts for v in row} == {True, False}
+
     def test_even6_all_principal(self, even6):
         assert all(ea.is_principal(even6, a) for a in range(even6.size))
 
@@ -392,7 +413,7 @@ class TestOrthocompleteness:
         up[total] &= ~(1 << total)
         up[total + 1] &= ~(1 << total + 2)
         up[part] &= ~(1 << total + 2)
-        bent = dataclasses.replace(order, up=tuple(up))
+        bent = order._replace(up=tuple(up))
         monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
         scan = _ortho_scan(alg)
         expected = _plain_ortho_scan(alg, bent)
@@ -411,7 +432,7 @@ class TestOrthocompleteness:
         order = ea.derive_order(alg)
         up = list(order.up)
         up[0], up[3] = 0b0001, 0b0011
-        bent = dataclasses.replace(order, up=tuple(up))
+        bent = order._replace(up=tuple(up))
         monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
         scan = _ortho_scan(alg)
         assert scan.weakly_orthocomplete == Decision(False, (3,))
