@@ -12,6 +12,10 @@ The generator fills partial sum tables cell by cell (row-major over pairs
   orthosupplements becomes structural;
 * each newly decided cell closes all strong-associativity instances that
   touch it; a contradiction prunes the branch;
+* the cancellation law (a + b = a + c implies b = c) bars a value from a
+  row that already holds it, both for the value tried in a cell and for a
+  value an associativity instance forces on an undecided cell; every
+  valid table obeys it, so no leaf is lost;
 * a branch whose partial table is provably not lexicographically minimal
   under the relabelings that respect the pinned structure (permutations
   fixing 0 and the unit and commuting with the involution) is pruned;
@@ -19,6 +23,9 @@ The generator fills partial sum tables cell by cell (row-major over pairs
   ranges over the whole centralizer, so it keeps exactly one leaf per
   class, and two leaves with one canonical form raise
   ``InvariantViolation``;
+* the relabelings still undecided at a leaf map its table onto itself, so
+  they are its whole automorphism group but the identity, and the
+  labeller receives them to try one new label per orbit;
 * every emitted model is checked to be its own canonical representative,
   so callers compare emitted models directly, not their canonical forms.
 
@@ -93,7 +100,8 @@ def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int],
     return bytes(out)
 
 
-def canonicalize(alg: FiniteEffectAlgebra) -> tuple[bytes, FiniteEffectAlgebra]:
+def canonicalize(alg: FiniteEffectAlgebra, *,
+                 automorphisms: Sequence[Sequence[int]] = ()) -> tuple[bytes, FiniteEffectAlgebra]:
     """Canonical form and the canonically relabeled model.
 
     The form is the lexicographically least linearization over every
@@ -108,6 +116,15 @@ def canonicalize(alg: FiniteEffectAlgebra) -> tuple[bytes, FiniteEffectAlgebra]:
     or that lower bound exceeds ``best`` after an equal prefix, so every
     leaf below it is worse than ``best``; every minimising pi is reached,
     and the result equals that of trying all (n-1)! relabelings.
+
+    ``automorphisms`` may hand over the automorphism group of ``alg``: each
+    g as a tuple with ``alg`` mapped onto itself by a -> g[a].  It must be
+    the whole group (the identity may be left out); a proper subgroup can
+    yield the wrong relabeled model.  The search then tries one element per
+    orbit of the automorphisms that fix every element labeled so far, since
+    g carries the subtrees of a and g[a] onto each other, and relabels along
+    the least pi o g over the group: the minimising permutations are exactly
+    one such coset.  The form and the model equal those found without it.
 
     Carriers of more than 255 elements raise ``ValueError`` (see ``_linearize``).
     """
@@ -132,21 +149,30 @@ def canonicalize(alg: FiniteEffectAlgebra) -> tuple[bytes, FiniteEffectAlgebra]:
                 return code > ref
         return False
 
-    def dfs(k: int) -> None:
+    def dfs(k: int, stab: Sequence[Sequence[int]]) -> None:
+        # stab: the automorphisms fixing every element labeled so far
         nonlocal best, best_pi
         if k == n:
             lin = _linearize(alg, pi, inv, best)
             if lin is not None and (lin < best or pi < best_pi):
                 best, best_pi = lin, pi[:]
             return
+        seen = 0
         for y in range(1, n):
-            if pi[y] < 0:
+            if pi[y] < 0 and not seen >> y & 1:
+                for g in stab:
+                    seen |= 1 << g[y]
                 pi[y], inv[k] = k, y
                 if not row_one_exceeds_best(k):
-                    dfs(k + 1)
+                    dfs(k + 1, [g for g in stab if g[y] == y])
                 pi[y] = -1
 
-    dfs(1)
+    dfs(1, automorphisms)
+    base = best_pi
+    for g in automorphisms:
+        coset_pi = [base[x] for x in g]
+        if coset_pi < best_pi:
+            best_pi = coset_pi
     return best, permute(alg, best_pi)
 
 
@@ -217,13 +243,16 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
     one = n - 1
     tab = [_UNKNOWN] * (n * n)  # tab[a*n+b] == tab[b*n+a]: the symmetric sum table
     pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    held = [0] * n  # held[a]: bitmask of the values placed in row a
 
     def place(a: int, b: int, w: int) -> bool:
         tab[a * n + b] = tab[b * n + a] = w
         if w >= 0:
             pre[w].append((a, b))
+            held[a] |= 1 << w
             if a != b:
                 pre[w].append((b, a))
+                held[b] |= 1 << w
         return _consistent(a, b, w)
 
     def unplace(a: int, b: int) -> None:
@@ -231,8 +260,10 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
         tab[a * n + b] = tab[b * n + a] = _UNKNOWN
         if w >= 0:
             pre[w].pop()
+            held[a] &= ~(1 << w)
             if a != b:
                 pre[w].pop()
+                held[b] &= ~(1 << w)
 
     def _consistent(u: int, v: int, w: int) -> bool:
         # Close every strong-associativity instance that touches the new cell.
@@ -249,7 +280,10 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
                     if t == _UNKNOWN:
                         continue
                     r = tab[x * n + t]
-                    if r == _UNDEF or (r != _UNKNOWN and r != q):
+                    if r == _UNKNOWN:
+                        if (held[x] | held[t]) >> q & 1:
+                            return False  # x + t = q would repeat q in a row
+                    elif r != q:
                         return False
             for p, z in orients:          # new cell as the outer sum (x+y)+z
                 for x, y in pre[p]:
@@ -259,7 +293,10 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
                     if t == _UNKNOWN:
                         continue
                     r = tab[x * n + t]
-                    if r == _UNDEF or (r != _UNKNOWN and r != w):
+                    if r == _UNKNOWN:
+                        if (held[x] | held[t]) >> w & 1:
+                            return False
+                    elif r != w:
                         return False
             for y, z in orients:          # new cell as y+z = w
                 for x in range(n):
@@ -270,7 +307,10 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
                     if q < 0:
                         continue
                     r = tab[x * n + w]
-                    if r == _UNDEF or (r != _UNKNOWN and r != q):
+                    if r == _UNKNOWN:
+                        if (held[x] | held[w]) >> q & 1:
+                            return False
+                    elif r != q:
                         return False
             for x, t in orients:          # new cell as x+(y+z) = w
                 for y, z in pre[t]:
@@ -302,10 +342,9 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
             return []
 
     free = [(a, b) for a in range(1, n - 1) for b in range(a, n - 1) if sigma[a] != b]
-    domains = []
-    for a, b in free:
-        allowed = [c for c in range(1, n - 1) if c != a and c != b]
-        domains.append(allowed + [_UNDEF])
+    # The pins put a and the unit in every middle row a, so the cancellation
+    # check in dfs bars a + b from a, b and the unit.
+    values = [*range(1, n - 1), _UNDEF]
 
     perms: list[_PermData] = []
     cell_index = {cell: i for i, cell in enumerate(free)}
@@ -323,14 +362,17 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
     avals: list[int] = [0] * len(free)
     found: list[tuple[bytes, FiniteEffectAlgebra]] = []
 
-    def emit() -> None:
+    def emit(active: list[_PermData]) -> None:
         table = tuple(tuple(None if w < 0 else w for w in tab[a * n:(a + 1) * n])
                       for a in range(n))
         model = FiniteEffectAlgebra(n, one, table)
         if not validate(model).valid:
             raise RuntimeError(
                 f"enumeration produced an invalid table (engine defect): {model.entries()}")
-        found.append(canonicalize(model))
+        # Every automorphism fixes 0 and 1 and commutes with sigma, so it is
+        # in the centralizer; the ones still active map the table onto
+        # itself, so they are the whole group but the identity.
+        found.append(canonicalize(model, automorphisms=[pd.value_map for pd in active]))
 
     def walk(pd: _PermData, depth: int) -> int:
         # Compare the pi-image of the decided prefix against the prefix itself.
@@ -349,10 +391,13 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
 
     def dfs(i: int, active: list[_PermData]) -> None:
         if i == len(free):
-            emit()
+            emit(active)
             return
         a, b = free[i]
-        for w in domains[i]:
+        taken = held[a] | held[b]
+        for w in values:
+            if w >= 0 and taken >> w & 1:
+                continue  # cancellation: a + b = w would repeat w in row a or b
             if place(a, b, w):
                 avals[i] = w
                 keep: list[_PermData] = []

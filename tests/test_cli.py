@@ -258,6 +258,13 @@ class TestEnumerateCommand:
         code, _, err = run(capsys, "enumerate", "--max-size", "7")
         assert code == 2 and "--big" in err
 
+    @pytest.mark.parametrize("big", [(), ("--big",)])
+    def test_out_of_range_order_names_the_range(self, capsys, big):
+        # --big cannot allow an order past the cap, so it is not offered
+        code, out, err = run(capsys, "enumerate", "--max-size", "11", *big)
+        assert code == 2 and "2..10" in err and "--big" not in err
+        assert out == ""
+
     def test_big_allows_order_seven(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-size", "7", "--big")
         assert code == 0

@@ -1,13 +1,17 @@
 """The enumeration engine against independent oracles, plus determinism."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 import effalg as ea
-from effalg import enumeration
+from effalg import enumeration, models
 from effalg.enumeration import _linearize
 
 # Engine-derived class counts.  Orders 2 and 3 are forced analytically,
@@ -170,17 +174,34 @@ def brute_force_canonicalize(alg):
     return best, ea.permute(alg, best_pi)
 
 
-def record_leaves(monkeypatch):
-    """A list that collects every leaf the stratum search hands the labeller."""
+def record_leaves(monkeypatch, groups=None):
+    """A list that collects every leaf the stratum search hands the labeller.
+
+    The automorphisms handed over with each leaf are passed through to the
+    labeller, and collected in ``groups`` when it is given.
+    """
     leaves = []
     labelled = enumeration.canonicalize
 
-    def recorded(alg):
+    def recorded(alg, *, automorphisms=()):
         leaves.append(alg)
-        return labelled(alg)
+        if groups is not None:
+            groups.append(automorphisms)
+        return labelled(alg, automorphisms=automorphisms)
 
     monkeypatch.setattr(enumeration, "canonicalize", recorded)
     return leaves
+
+
+def leaves_with_groups(monkeypatch, orders):
+    """Every leaf of the pruned search at the given orders, with the
+    automorphisms the search hands the labeller along with it."""
+    groups = []
+    with monkeypatch.context() as m:
+        leaves = record_leaves(m, groups)
+        for n in orders:
+            ea.enumerate_up_to_iso(n)
+    return list(zip(leaves, groups, strict=True))
 
 
 def unpruned_stratum(monkeypatch, n, pairs):
@@ -205,8 +226,55 @@ def automorphism_count(alg, perms):
         for pi in perms)
 
 
-def assert_labelled_as_brute_force(alg):
-    form, canon = ea.canonicalize(alg)
+def automorphisms_by_comparison(alg):
+    """Every automorphism but the identity, by direct comparison over the
+    permutations fixing 0 and the unit (every automorphism fixes both)."""
+    n, one = alg.size, alg.one
+    mid = [x for x in range(1, n) if x != one]
+    found = []
+    for img in itertools.permutations(mid):
+        pi = list(range(n))
+        for src, dst in zip(mid, img):
+            pi[src] = dst
+        if list(img) != mid and automorphism_count(alg, [pi]) == 1:
+            found.append(tuple(pi))
+    return found
+
+
+def relabelled_with_group(alg, group, rng):
+    """A random relabelling of alg and its group conjugated along it."""
+    n = alg.size
+    perm = list(range(1, n))
+    rng.shuffle(perm)
+    p = (0, *perm)
+    inv = [0] * n
+    for i, v in enumerate(p):
+        inv[v] = i
+    return ea.permute(alg, p), [tuple(p[g[inv[x]]] for x in range(n)) for g in group]
+
+
+def count_calls(run, names):
+    """How often the enumeration module's functions named in names are
+    entered while run() executes (nested functions included)."""
+    counts = dict.fromkeys(names, 0)
+    path = enumeration.__file__
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == path \
+                and frame.f_code.co_name in counts:
+            counts[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+def assert_labelled_as_brute_force(alg, automorphisms=()):
+    form, canon = ea.canonicalize(alg, automorphisms=automorphisms)
     ref_form, ref = brute_force_canonicalize(alg)
     assert form == ref_form, alg.name
     assert (canon.one, canon.table, canon.labels, canon.name) == \
@@ -261,6 +329,38 @@ class TestEngineInvariants:
             leaves.clear()
             classes = len(ea.enumerate_up_to_iso(n))
             assert len(leaves) == classes == KNOWN_COUNTS[n], n
+
+    def test_enumerated_tables_match_golden(self):
+        # sha256 over models.dumps of every class, in output order, frozen
+        # once every order it covers had passed the orbit-stabiliser check
+        golden = Path(__file__).parent / "golden" / "enumerated_tables_sha256.json"
+        expected = json.loads(golden.read_text(encoding="utf-8"))
+        got = {}
+        for n in range(2, 10):
+            digest = hashlib.sha256()
+            for m in ea.enumerate_up_to_iso(n):
+                digest.update(models.dumps(m).encode("utf-8"))
+            got[str(n)] = digest.hexdigest()
+        assert got == expected
+
+    def test_leaf_groups_are_the_automorphism_groups(self, monkeypatch):
+        # The permutations still active at a leaf must be all of Aut(leaf)
+        # but the identity: the labeller relies on the whole group.
+        pairs = leaves_with_groups(monkeypatch, range(2, 9))
+        assert len(pairs) == sum(KNOWN_COUNTS[n] for n in range(2, 9))
+        for leaf, group in pairs:
+            handed = sorted(tuple(g) for g in group)
+            assert handed == sorted(automorphisms_by_comparison(leaf)), leaf.entries()
+        assert max(len(group) for _, group in pairs) == 719  # S_6 on six self-supplements
+
+    def test_work_at_order_8(self):
+        # The cancellation law prunes the stratum search and the leaf's
+        # automorphisms prune the labeller: 13,079 and 3,491 calls without.
+        # The search makes 2,798 place calls, and over 3,400 with either of
+        # its two cancellation prunes alone.
+        counts = count_calls(lambda: ea.enumerate_up_to_iso(8), ("place", "_linearize"))
+        assert counts["place"] <= 3_000, counts
+        assert counts["_linearize"] <= 1_240, counts
 
     def test_emitted_models_are_valid_and_iso_free(self):
         for n in range(2, 7):
@@ -395,6 +495,54 @@ class TestCanonicalForm:
         for leaf in leaves:
             assert_labelled_as_brute_force(leaf)
         assert len(leaves) > 100
+
+    def test_labelling_with_the_group_matches_brute_force(self, monkeypatch):
+        # Each leaf of orders 2-7 with the group the search hands over, and
+        # random relabellings of it with the group conjugated along.
+        rng = random.Random(15)
+        cases = leaves_with_groups(monkeypatch, range(2, 8))
+        cases += [relabelled_with_group(leaf, group, rng)
+                  for leaf, group in list(cases) for _ in range(2)]
+        for alg in (ea.boolean_algebra(3), ea.even_subset_omp(4),
+                    ea.horizontal_sum(ea.chain(2), ea.boolean_algebra(2))):
+            group = automorphisms_by_comparison(alg)
+            cases += [(alg, group)]
+            cases += [relabelled_with_group(alg, group, rng) for _ in range(3)]
+        for alg, group in cases:
+            assert_labelled_as_brute_force(alg, group)
+        assert sum(1 for _, group in cases if group) > 50
+
+    def test_labelling_does_not_depend_on_the_order_of_the_group(self):
+        # The relabelled model is the least labelling in the coset of the
+        # one the search finds; scanning that coset must reach every
+        # member, whatever the order of the list.  boolean:3 has the five
+        # non-identity atom permutations, so each relabelling is tried with
+        # all 120 orders.
+        rng = random.Random(15)
+        b3 = ea.boolean_algebra(3)
+        group = automorphisms_by_comparison(b3)
+        assert len(group) == 5
+        for _ in range(10):
+            alg, conjugated = relabelled_with_group(b3, group, rng)
+            ref_form, ref = brute_force_canonicalize(alg)
+            for order in itertools.permutations(conjugated):
+                form, canon = ea.canonicalize(alg, automorphisms=order)
+                assert (form, canon.table, canon.labels) == (ref_form, ref.table, ref.labels)
+
+    def test_canonicalize_with_the_group_of_boolean4(self):
+        # the 23 atom permutations; without them the labeller tries 20,161
+        # relabelings, with them 841
+        b4 = ea.boolean_algebra(4)
+        group = [g for g in (tuple(sum(1 << p[i] for i in range(4) if x >> i & 1)
+                                   for x in range(b4.size))
+                             for p in itertools.permutations(range(4)))
+                 if g != tuple(range(b4.size))]
+        assert automorphism_count(b4, group) == 23
+        calls = count_calls(lambda: ea.canonicalize(b4, automorphisms=group), ("_linearize",))
+        assert calls["_linearize"] < 1_000
+        form, canon = ea.canonicalize(b4)
+        got_form, got = ea.canonicalize(b4, automorphisms=group)
+        assert (got_form, got.table, got.labels) == (form, canon.table, canon.labels)
 
     def test_permute_refuses_non_permutations(self):
         for pi in ((), (1, 0, 2), (0, 1, 1)):
