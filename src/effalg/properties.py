@@ -24,7 +24,6 @@ Conventions adopted here:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Any, Mapping, NamedTuple
 
 from .core import (
@@ -317,140 +316,81 @@ def is_disjunctive(alg: FiniteEffectAlgebra) -> Decision:
     return Decision(True)
 
 
-# Bounds on the orthogonal-system scan: its memo entries and its nesting
-# depth (the length of the system being extended).  chain:64 needs 403,091
-# states and nests 64 deep; both grow with the longest chain of the model.
-# The depth bound is that of chain:64, the deepest built-in model: a longer
-# chain passes it at once, long before it would pass the state budget.
-_SCAN_MAX_STATES = 1 << 21
-_SCAN_MAX_DEPTH = 64
-
-
-class ScanBudgetExceeded(ValueError):
-    """The orthogonal-system scan of a model would pass one of its bounds."""
-
-
 class OrthoScan(NamedTuple):
     orthocomplete: Decision
     weakly_orthocomplete: Decision
     systems_checked: int
-    states: int  # memo entries of the scan, the root included
 
 
 @per_model
 def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
-    """Run both completeness checks over every orthogonal multiset.
+    """Decide both completeness verdicts from a certificate, and count the
+    orthogonal systems.
 
     A multiset of nonzero elements is an orthogonal system iff its total
-    sum is defined, so the search extends nondecreasing value sequences and
-    prunes on an undefined total.  Multiplicities are implicitly bounded by
-    the isotropic indices.  Infinite systems over a finite carrier only add
-    copies of 0 (anything else would have infinite isotropic index), so the
-    finite enumeration is exhaustive.
+    sum is defined.  Infinite systems over a finite carrier only add copies
+    of 0 (anything else would have infinite isotropic index), so the finite
+    systems are all there are.  Orthocompleteness needs the supremum of the
+    partial sums of every system to exist; weak orthocompleteness tolerates
+    a missing supremum as long as there is no minimal upper bound either.
 
-    Orthocompleteness needs the supremum of the partial-sum set of every
-    system to exist; weak orthocompleteness tolerates a missing supremum as
-    long as there is no minimal upper bound either.  Both are theorems on
-    finite models, but the checks are performed for real here.
+    The certificate is that every defined a ⊕ b = c has c in ``up[a]``.
+    Let t be the total of a system and s one of its partial sums: the rest
+    of the system sums to some r with s ⊕ r = t, so t is above s.  Then t
+    is an upper bound of the partial sums, and one of them, so every upper
+    bound is above t: t is the least upper bound, and both verdicts hold on
+    every system.  Checking the n² cells decides both; a cell that fails
+    means the order was not derived from the table, and raises
+    ``InvariantViolation`` naming the triple.
 
-    The search is memoised on ``(min_v, psums)``: the least value the next
-    element may take and the bitmask of partial sums so far.  That key fixes
-    the whole subtree below it.  The running total is the largest element
-    of ``psums`` and the upper bounds are the meet of ``order.up`` over it,
-    so every extension, every sub-multiset check and every verdict below is
-    a function of the key.  Each call returns the number of systems in its
-    subtree, which keeps ``systems_checked`` exact.  The search stays depth
-    first in the same order, and a repeated key names a subtree that was
-    explored in full when the key first came up, so the first witness is
-    the one an unmemoised walk finds.
-
-    Each call also gets ``plist``, the elements of ``psums`` as a list: a
-    child's list is its parent's plus the new sums found while extending,
-    so no state rebuilds it from the mask.  The two verdicts on a system
-    depend only on its upper-bound mask, and many systems share one (on
-    ``chain:32``, 32 masks for the 10,745 extensions the memo does not
-    absorb), so ``order.least`` and ``order.minimal`` run once per mask.
-
-    Past ``_SCAN_MAX_STATES`` memo entries or ``_SCAN_MAX_DEPTH`` nested
-    elements the scan raises ``ScanBudgetExceeded``; under both bounds it
-    is exactly the unbounded scan.
+    ``systems_checked`` counts the systems exactly, the empty one included.
+    ``count[t]`` is the number of systems with every value >= m that extend
+    the total t.  Running m down from n - 1, such a system has no m or
+    takes one and goes on from t ⊕ m, so ``count[t] += count[t ⊕ m]``.
+    t ⊕ m is strictly above t, so visiting t by decreasing ``below[t]``,
+    the number of cells holding t, reaches t ⊕ m first: a <= t iff a ⊕ b = t
+    for one b, so that is the size of t's down-set, read from the table.
     """
-    order = derive_order(alg)
-    up, least, minimal = order.up, order.least, order.minimal
+    up = derive_order(alg).up
     n = alg.size
-    full = (1 << n) - 1
     rows = alg.table
-    # the nonzero partners of each element, ascending: a state visits only these
-    partners = [[v for v in range(1, n) if row[v] is not None] for row in rows]
-    oc_witness: list[tuple[int, ...]] = []
-    woc_witness: list[tuple[int, ...]] = []
-    stack: list[int] = []
-    memo: dict[tuple[int, int], int] = {}
+    below = [0] * n
+    for a, row in enumerate(rows):
+        for c in row:
+            if c is None:
+                continue
+            if not up[a] >> c & 1:
+                raise InvariantViolation(
+                    f"{alg.label(a)} ⊕ {alg.label(row.index(c))} = {alg.label(c)}, but "
+                    f"{alg.label(c)} is not above {alg.label(a)} in the derived order")
+            below[c] += 1
 
-    scan = f"the orthogonal-system scan of {alg.name or f'a {n}-element model'}"
-
-    # the verdict on each upper-bound mask met so far: 0 if it has a least
-    # element, else 2 if it has a minimal one and 1 if not
-    verdicts: dict[int, int] = {}
-
-    def extend(min_v: int, total: int, psums: int, plist: list[int], ub: int) -> int:
-        key = (min_v, psums)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        # this call and each unfinished caller will be a memo entry too
-        if len(memo) + len(stack) >= _SCAN_MAX_STATES:
-            raise ScanBudgetExceeded(f"{scan} exceeds its state budget of {_SCAN_MAX_STATES}")
-        if len(stack) > _SCAN_MAX_DEPTH:
-            raise ScanBudgetExceeded(f"{scan} exceeds its nesting bound of {_SCAN_MAX_DEPTH}")
-        found = 0
-        total_row = rows[total]
-        cands = partners[total]
-        for v in cands[bisect_left(cands, min_v):]:
-            v_row = rows[v]
-            new_psums = psums
-            new_ub = ub
-            new_plist = plist[:]
-            for p in plist:
-                s = v_row[p]
-                if s is None:
-                    raise InvariantViolation(
-                        "a sub-multiset sum is undefined although the total is defined")
-                if not new_psums >> s & 1:
-                    new_psums |= 1 << s
-                    new_ub &= up[s]
-                    new_plist.append(s)
-            stack.append(v)
-            verdict = verdicts.get(new_ub)
-            if verdict is None:
-                # element 0 is falsy: ask whether any minimal bound exists
-                verdict = verdicts[new_ub] = 0 if least(new_ub) is not None else (
-                    2 if next(minimal(new_ub), None) is not None else 1)
-            if verdict:
-                if not oc_witness:
-                    oc_witness.append(tuple(stack))
-                if verdict == 2 and not woc_witness:
-                    woc_witness.append(tuple(stack))
-            found += 1 + extend(v, total_row[v], new_psums, new_plist, new_ub)
-            stack.pop()
-        memo[key] = found
-        return found
-
-    # 1 for the empty system: partial sums {0}, supremum 0
-    count = 1 + extend(1, 0, 1, [0], full)
-
-    oc = Decision(not oc_witness, oc_witness[0] if oc_witness else None)
-    woc = Decision(not woc_witness, woc_witness[0] if woc_witness else None)
-    return OrthoScan(oc, woc, count, len(memo))
+    count = [1] * n
+    descending = sorted(range(n), key=below.__getitem__, reverse=True)
+    for m in range(n - 1, 0, -1):
+        plus_m = rows[m]  # the table is symmetric: plus_m[t] is t ⊕ m
+        for t in descending:
+            s = plus_m[t]
+            if s is not None:
+                count[t] += count[s]
+    return OrthoScan(Decision(True), Decision(True), count[0])
 
 
 def is_orthocomplete(alg: FiniteEffectAlgebra) -> Decision:
-    """Every orthogonal system has a sum (= supremum of its partial sums)."""
+    """Every orthogonal system has a sum (= supremum of its partial sums).
+
+    Decided by the certificate of ``_ortho_scan``: the total of every system
+    is the least upper bound of its partial sums.
+    """
     return _ortho_scan(alg).orthocomplete
 
 
 def is_weakly_orthocomplete(alg: FiniteEffectAlgebra) -> Decision:
-    """Every orthogonal system has a sum or no minimal upper bound at all."""
+    """Every orthogonal system has a sum or no minimal upper bound at all.
+
+    Decided by the same certificate as ``is_orthocomplete``: every system
+    has a sum.
+    """
     return _ortho_scan(alg).weakly_orthocomplete
 
 

@@ -298,9 +298,10 @@ def test_criterion_8_determinism(tmp_path):
 
 
 def test_criterion_9_orthogonal_scan_on_chain48():
-    with criterion("9 orthogonal scan on chain:48", 6.0):
-        alg = ea.chain(48)
-        prof = ea.profile(alg)
-        assert prof.orthocomplete and prof.weakly_orthocomplete
-        # the partitions of the totals 0..48
-        assert _ortho_scan(alg).systems_checked == 918220
+    with criterion("9 orthogonal systems on chain:48 and chain:64", 6.0):
+        # the partitions of the totals 0..k
+        for k, systems in ((48, 918220), (64, 12308139)):
+            alg = ea.chain(k)
+            prof = ea.profile(alg)
+            assert prof.orthocomplete and prof.weakly_orthocomplete
+            assert _ortho_scan(alg).systems_checked == systems

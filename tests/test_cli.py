@@ -137,34 +137,31 @@ class TestExampleAndProps:
             assert code == 0
 
 
-class TestOrthogonalScanBounds:
-    def test_state_budget_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(properties, "_SCAN_MAX_STATES", 1000)
-        path = tmp_path / "c32.efa"
-        ea.save(ea.chain(32), path)
-        code, out, err = run(capsys, "props", str(path))
-        assert code == 2 and out == ""
-        assert "state budget of 1000" in err and str(path) in err
-
-    def test_nesting_bound_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(properties, "_SCAN_MAX_DEPTH", 16)
-        path = tmp_path / "c40.efa"
-        path.write_text("elements: 40\none: 39\n" + "".join(
-            f"sum: {a} {b} {a + b}\n" for a in range(1, 40) for b in range(a, 40 - a)),
-            encoding="utf-8")
-        code, _, err = run(capsys, "props", str(path))
-        assert code == 2
-        assert "nesting bound of 16" in err and "Traceback" not in err
-
-    def test_long_chain_exits_2_at_the_default_nesting_bound(self, tmp_path, capsys):
+class TestOrthocompleteness:
+    def test_long_chain_gets_a_full_report(self, tmp_path, capsys):
         # a hand-written 97-element chain, past chain:64, the deepest recipe
         path = tmp_path / "c96.efa"
         path.write_text("elements: 97\none: 96\n" + "".join(
             f"sum: {a} {b} {a + b}\n" for a in range(1, 97) for b in range(a, 97 - a)),
             encoding="utf-8")
+        code, out, err = run(capsys, "props", str(path), "--json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        jsonschema.validate(doc, report_mod.schema())
+        assert doc["profile"]["orthocomplete"] is True
+        assert doc["profile"]["weakly_orthocomplete"] is True
+
+    def test_order_not_from_the_table_exits_3(self, tmp_path, capsys, monkeypatch):
+        # chain:3 with 2 cut from the up-set of 1, although 1 ⊕ 1 = 2
+        alg = ea.chain(3)
+        order = ea.derive_order(alg)
+        bent = order._replace(up=(order.up[0], order.up[1] & ~0b100, *order.up[2:]))
+        monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
+        path = tmp_path / "c3.efa"
+        ea.save(alg, path)
         code, out, err = run(capsys, "props", str(path))
-        assert code == 2 and out == ""
-        assert "nesting bound of 64" in err and "Traceback" not in err
+        assert code == 3 and out == ""
+        assert "1 ⊕ 1 = 2" in err and "Traceback" not in err
 
 
 class TestGoldenReports:

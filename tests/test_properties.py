@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+import re
 
 import pytest
 
@@ -17,10 +18,11 @@ from conftest import bent_copies, even_subset_index, order_with_up
 
 
 def _plain_ortho_scan(alg, order):
-    """The orthogonal-system scan without memoisation: one visit per system.
+    """The orthogonal-system scan: one visit per system, both verdicts
+    checked on each.
 
-    The reference ``_ortho_scan`` must agree with.  Returns the two
-    decisions and the number of systems visited.
+    The reference ``_ortho_scan``'s certificate and count must agree with.
+    Returns the two decisions and the number of systems visited.
     """
     n = alg.size
     full = (1 << n) - 1
@@ -67,6 +69,18 @@ def _plain_ortho_scan(alg, order):
     oc = Decision(not oc_witness, oc_witness[0] if oc_witness else None)
     woc = Decision(not woc_witness, woc_witness[0] if woc_witness else None)
     return oc, woc, count
+
+
+def _assert_rejects(alg, order):
+    """``_ortho_scan`` raises ``InvariantViolation`` naming a defined cell
+    a ⊕ b = c with c outside ``order.up[a]``; returns (a, b, c)."""
+    with pytest.raises(InvariantViolation) as info:
+        _ortho_scan(alg)
+    labels = [alg.label(x) for x in range(alg.size)]
+    a, b, c = (labels.index(x) for x in re.match(r"(.+) ⊕ (.+) = (.+), but ",
+                                                  str(info.value)).groups())
+    assert alg.table[a][b] == c and not order.up[a] >> c & 1
+    return a, b, c
 
 
 def _disjunctive_by_definition(alg, order):
@@ -360,7 +374,8 @@ class TestOrthocompleteness:
         # partitions of 1..5 into parts, plus the empty system: 1+2+3+5+7+1
         assert _ortho_scan(ea.chain(5)).systems_checked == 19
 
-    @pytest.mark.parametrize("k, expected", [(5, 19), (12, 272), (32, 43820)])
+    @pytest.mark.parametrize("k, expected", [
+        (5, 19), (12, 272), (32, 43820), (48, 918220), (64, 12308139)])
     def test_chain_system_count_is_a_sum_of_partition_numbers(self, k, expected):
         # On chain:k the orthogonal multisets of nonzero elements are the
         # partitions of the totals 0..k, so the count is sum_{t<=k} p(t).
@@ -372,29 +387,24 @@ class TestOrthocompleteness:
         assert sum(p) == expected
         assert _ortho_scan(ea.chain(k)).systems_checked == expected
 
-    def test_scan_states_on_chain32(self):
-        # memo entries, the root included; the unmemoised walk visits 43,820
-        assert _ortho_scan(ea.chain(32)).states == 7207
+    def test_boolean_system_count_is_a_bell_number(self):
+        # On boolean:k a system is a family of disjoint nonempty subsets of
+        # {1..k}, a partition of {1..k+1} once the rest joins the block of
+        # k+1: Bell(k+1) systems.  Bell numbers by the triangle: each row
+        # starts with the last entry of the row before.
+        bell, row = [1], [1]
+        for _ in range(11):
+            nxt = [row[-1]]
+            for x in row:
+                nxt.append(nxt[-1] + x)
+            row = nxt
+            bell.append(row[0])
+        assert bell[11] == 678570
+        for k in range(1, 11):
+            assert _ortho_scan(ea.boolean_algebra(k)).systems_checked == bell[k + 1], k
 
-    @pytest.mark.parametrize("states, depth, refused", [
-        (7207, 32, None), (7206, 32, "state budget of 7206"), (7207, 31, "nesting bound of 31")],
-        ids=["at-both", "states-one-short", "depth-one-short"])
-    def test_scan_bounds_are_exact(self, states, depth, refused, monkeypatch):
-        # chain:32 needs 7,207 states and nests 32 deep
-        monkeypatch.setattr(properties, "_SCAN_MAX_STATES", states)
-        monkeypatch.setattr(properties, "_SCAN_MAX_DEPTH", depth)
-        alg = ea.chain(32)
-        assert "_ortho_scan" not in alg._memo
-        if refused is None:
-            assert _ortho_scan(alg).systems_checked == 43820
-        else:
-            with pytest.raises(properties.ScanBudgetExceeded, match=refused):
-                _ortho_scan(alg)
-
-    def test_memoised_scan_matches_plain_walk(self, boolean3, even6):
-        models = [m for n in range(2, 7) for m in ea.enumerate_up_to_iso(n)]
-        models += [boolean3, even6, ea.horizontal_sum(ea.boolean_algebra(2), ea.chain(3))]
-        for alg in models:
+    def test_scan_matches_plain_walk(self, reference_corpus):
+        for alg in reference_corpus:
             scan = _ortho_scan(alg)
             assert (scan.orthocomplete, scan.weakly_orthocomplete, scan.systems_checked) \
                 == _plain_ortho_scan(alg, ea.derive_order(alg)), alg
@@ -405,8 +415,9 @@ class TestOrthocompleteness:
         # Valid models have no witness, so bend the order of chain:9: drop
         # `total` from its own up-set and `total + 2` from the up-sets of
         # `total + 1` and `part`.  Then a system fails exactly when it sums
-        # to `total` and has no partial sum `part`, which puts the first
-        # witness off the leftmost path of a search that reuses subtrees.
+        # to `total` and has no partial sum `part`.  The plain walk finds
+        # such a witness; the certificate rejects the bent order instead,
+        # naming a cell a ⊕ b = c with c not above a.
         alg = ea.chain(9)
         order = ea.derive_order(alg)
         up = list(order.up)
@@ -414,30 +425,50 @@ class TestOrthocompleteness:
         up[total + 1] &= ~(1 << total + 2)
         up[part] &= ~(1 << total + 2)
         bent = order._replace(up=tuple(up))
-        monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
-        scan = _ortho_scan(alg)
-        expected = _plain_ortho_scan(alg, bent)
-        assert (scan.orthocomplete, scan.weakly_orthocomplete, scan.systems_checked) \
-            == expected
-        witness = expected[0].witness
+        witness = _plain_ortho_scan(alg, bent)[0].witness
         assert sum(witness) == total
         assert part not in {sum(c) for r in range(len(witness) + 1)
                             for c in itertools.combinations(witness, r)}
+        monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
+        _assert_rejects(alg, bent)
 
     def test_zero_as_the_only_minimal_upper_bound_is_a_weak_witness(self, monkeypatch):
         # Bend chain:3 so that the upper bounds of the system (3) are {0, 1}
-        # with no least element and 0 as their only minimal element.  Index 0
-        # is falsy: the scan must ask whether a minimal bound exists at all.
+        # with no least element and 0 as their only minimal element: the
+        # plain walk finds a weak witness, and the certificate fails at 0.
         alg = ea.chain(3)
         order = ea.derive_order(alg)
         up = list(order.up)
         up[0], up[3] = 0b0001, 0b0011
         bent = order._replace(up=tuple(up))
+        assert _plain_ortho_scan(alg, bent)[1] == Decision(False, (3,))
         monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
-        scan = _ortho_scan(alg)
-        assert scan.weakly_orthocomplete == Decision(False, (3,))
-        assert (scan.orthocomplete, scan.weakly_orthocomplete, scan.systems_checked) \
-            == _plain_ortho_scan(alg, bent)
+        assert _assert_rejects(alg, bent)[0] == 0
+
+    def test_certificate_on_bent_orders(self, reference_corpus, monkeypatch):
+        # Each bent copy cuts relations a < a ⊕ b, which the certificate
+        # rejects.  The same copy with its cuts undone only adds relations:
+        # then the certificate passes, and the plain walk must agree.
+        rejected = witnessed = passed = 0
+        for alg in reference_corpus:
+            order = ea.derive_order(alg)
+            for _, bent in bent_copies(alg):
+                widened = order_with_up(order, [u | v for u, v in zip(bent.up, order.up)])
+                for relation in (bent, widened):
+                    model = alg._replace()
+                    monkeypatch.setattr(properties, "derive_order", lambda _alg: relation)
+                    oc, woc, count = _plain_ortho_scan(model, relation)
+                    try:
+                        scan = _ortho_scan(model)
+                    except InvariantViolation:
+                        _assert_rejects(model, relation)
+                        rejected += 1
+                        witnessed += not (oc.ok and woc.ok)
+                    else:
+                        assert oc.ok and woc.ok, alg
+                        assert scan == (oc, woc, count)
+                        passed += relation != order
+        assert rejected > 150 and witnessed > 100 and passed > 50
 
 
 class TestProfile:
@@ -494,9 +525,9 @@ RECORD_REPRS = [
     (Classification(True, True, True, False, False, {}),
      "Classification(orthoalgebra=True, omp=True, omp_by_joins=True, lattice=False, "
      "oml=False, witnesses={})"),
-    (OrthoScan(Decision(True), Decision(False, (1,)), 3, 2),
+    (OrthoScan(Decision(True), Decision(False, (1,)), 3),
      "OrthoScan(orthocomplete=Decision(ok=True, witness=None), "
-     "weakly_orthocomplete=Decision(ok=False, witness=(1,)), systems_checked=3, states=2)"),
+     "weakly_orthocomplete=Decision(ok=False, witness=(1,)), systems_checked=3)"),
     (PropertyProfile(*[True] * 12, atoms=(1,), witnesses={}),
      "PropertyProfile(orthoalgebra=True, omp=True, oml=True, lattice=True, "
      "archimedean=True, orthocomplete=True, weakly_orthocomplete=True, atomic=True, "
