@@ -18,14 +18,18 @@ The generator fills partial sum tables cell by cell (row-major over pairs
   valid table obeys it, so no leaf is lost;
 * a branch whose partial table is provably not lexicographically minimal
   under the relabelings that respect the pinned structure (permutations
-  fixing 0 and the unit and commuting with the involution) is pruned;
+  fixing 0 and the unit and commuting with the involution) is pruned; the
+  test is incremental: each relabeling's image of the decided prefix is
+  compared with the prefix up to the first cell whose preimage is still
+  undecided, and the relabeling is looked at again only when that cell is
+  decided (the watched literals of SAT solvers);
 * surviving leaves are validated and canonically relabeled; the pruning
   ranges over the whole centralizer, so it keeps exactly one leaf per
   class, and two leaves with one canonical form raise
   ``InvariantViolation``;
-* the relabelings still undecided at a leaf map its table onto itself, so
-  they are its whole automorphism group but the identity, and the
-  labeller receives them to try one new label per orbit;
+* the relabelings whose image ties the whole table at a leaf map it onto
+  itself, so they are its whole automorphism group but the identity, and
+  the labeller receives them to try one new label per orbit;
 * every emitted model is checked to be its own canonical representative,
   so callers compare emitted models directly, not their canonical forms.
 
@@ -51,8 +55,6 @@ ENUMERATION_CAP = 10
 
 _UNKNOWN = -2
 _UNDEF = -1
-
-_LESS, _GREATER, _OPEN = -1, 1, 0
 
 
 def permute(alg: FiniteEffectAlgebra, pi: Sequence[int]) -> FiniteEffectAlgebra:
@@ -234,9 +236,42 @@ def _centralizer_perms(n: int, sigma: Sequence[int]) -> list[tuple[int, ...]]:
 # the backtracking search over one supplement stratum
 
 
-class _PermData(NamedTuple):
-    inv_cell: tuple[int, ...]   # free-cell index of the pi-preimage of each free cell
-    value_map: tuple[int, ...]  # value relabeling; index n encodes "undefined"
+def _relabelings(n: int, sigma: Sequence[int],
+                 free: Sequence[tuple[int, int]]) -> list[tuple[bytes, bytes, bytes]]:
+    """Each nontrivial element g of the centralizer of sigma as three byte maps.
+
+    ``image[i]`` and ``preimage[i]`` are the free-cell indices of the g-image
+    and the g-preimage of free cell i, and ``preimage`` ends in the sentinel
+    ``len(free)``.  ``values`` is g on the carrier followed by n, the code of
+    "undefined", which g fixes.  The elements are those of
+    ``_centralizer_perms``, in its order.
+    """
+    nfree = len(free)
+    if n * n > 256:
+        raise ValueError(f"cell maps cover carriers of at most 16 elements, not {n}")
+    # cell_of[a*n + b] is the index of the free cell (a, b) or (b, a).  Each
+    # byte of a*n and b is below 256 and so is their sum, so two byte strings
+    # add bytewise as big integers, without carries.
+    cell_of = bytearray(256)
+    for i, (a, b) in enumerate(free):
+        cell_of[a * n + b] = cell_of[b * n + a] = i
+    rows = bytes([a for a, _ in free])
+    cols = bytes([b for _, b in free])
+    times_n = bytes([x * n for x in range(n)]).ljust(256, b"\0")
+    cells = bytes(range(nfree + 1))
+    sentinel = bytes((nfree,))
+    undef = bytes((n,))
+    out = []
+    for pi in _centralizer_perms(n, sigma):
+        values = bytes(pi) + undef
+        table = values.ljust(256, b"\0")
+        keys = int.from_bytes(rows.translate(table).translate(times_n), "big") \
+            + int.from_bytes(cols.translate(table), "big")
+        image = keys.to_bytes(nfree, "big").translate(cell_of)
+        # the inverse cell permutation, with the sentinel fixed
+        preimage = bytes.maketrans(image + sentinel, cells)[:nfree + 1]
+        out.append((image, preimage, values))
+    return out
 
 
 def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEffectAlgebra]]:
@@ -346,23 +381,19 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
     # check in dfs bars a + b from a, b and the unit.
     values = [*range(1, n - 1), _UNDEF]
 
-    perms: list[_PermData] = []
-    cell_index = {cell: i for i, cell in enumerate(free)}
-    for pi in _centralizer_perms(n, sigma):
-        inv_pi = [0] * n
-        for i, p in enumerate(pi):
-            inv_pi[p] = i
-        inv_cell = []
-        for a, b in free:
-            x, y = inv_pi[a], inv_pi[b]
-            inv_cell.append(cell_index[(x, y) if x <= y else (y, x)])
-        vmap = [pi[c] for c in range(n)]
-        perms.append(_PermData(tuple(inv_cell), tuple(vmap)))
+    # waiting[i] holds the relabelings g whose image ties the decided prefix
+    # up to a cell p whose preimage, cell i, is undecided: they wait for dfs
+    # to decide cell i.  The cells are decided in order, so each g waits on
+    # one list, and waiting[nfree] holds those tied to the end.
+    nfree = len(free)
+    waiting: list[list[tuple[bytes, bytes, bytes]]] = [[] for _ in range(nfree + 1)]
+    for g in _relabelings(n, sigma, free):
+        waiting[g[1][0]].append(g)
 
-    avals: list[int] = [0] * len(free)
+    codes = bytearray(nfree)  # codes[i]: the value decided in free cell i, n if undefined
     found: list[tuple[bytes, FiniteEffectAlgebra]] = []
 
-    def emit(active: list[_PermData]) -> None:
+    def emit() -> None:
         table = tuple(tuple(None if w < 0 else w for w in tab[a * n:(a + 1) * n])
                       for a in range(n))
         model = FiniteEffectAlgebra(n, one, table)
@@ -370,50 +401,49 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
             raise RuntimeError(
                 f"enumeration produced an invalid table (engine defect): {model.entries()}")
         # Every automorphism fixes 0 and 1 and commutes with sigma, so it is
-        # in the centralizer; the ones still active map the table onto
-        # itself, so they are the whole group but the identity.
-        found.append(canonicalize(model, automorphisms=[pd.value_map for pd in active]))
+        # in the centralizer; the relabelings tied to the end map the table
+        # onto itself, so they are the whole group but the identity.
+        found.append(canonicalize(model, automorphisms=[g[2][:n] for g in waiting[nfree]]))
 
-    def walk(pd: _PermData, depth: int) -> int:
-        # Compare the pi-image of the decided prefix against the prefix itself.
-        for j in range(depth):
-            k = pd.inv_cell[j]
-            if k >= depth:
-                return _OPEN
-            img = pd.value_map[avals[k]] if avals[k] >= 0 else _UNDEF
-            cur = avals[j]
-            if img == cur:
-                continue
-            img_key = 255 if img == _UNDEF else img
-            cur_key = 255 if cur == _UNDEF else cur
-            return _LESS if img_key < cur_key else _GREATER
-        return _OPEN
-
-    def dfs(i: int, active: list[_PermData]) -> None:
-        if i == len(free):
-            emit(active)
+    def dfs(i: int) -> None:
+        if i == nfree:
+            emit()
             return
         a, b = free[i]
         taken = held[a] | held[b]
+        watched = waiting[i]
         for w in values:
             if w >= 0 and taken >> w & 1:
                 continue  # cancellation: a + b = w would repeat w in row a or b
             if place(a, b, w):
-                avals[i] = w
-                keep: list[_PermData] = []
-                dead = False
-                for pd in active:
-                    verdict = walk(pd, i + 1)
-                    if verdict == _LESS:
-                        dead = True  # some relabeling is strictly smaller
-                        break
-                    if verdict == _OPEN:
-                        keep.append(pd)
-                if not dead:
-                    dfs(i + 1, keep)
+                codes[i] = n if w < 0 else w
+                moved: list[int] = []
+                for g in watched:
+                    # Resume comparing g's image of the prefix with the prefix
+                    # at the image of cell i, up to the next undecided preimage.
+                    image, preimage, vmap = g
+                    p = image[i]
+                    k = i
+                    while k <= i:
+                        img, cur = vmap[codes[k]], codes[p]
+                        if img != cur:
+                            break
+                        p += 1
+                        k = preimage[p]
+                    else:
+                        waiting[k].append(g)
+                        moved.append(k)
+                        continue
+                    if img < cur:
+                        break  # some relabeling is strictly smaller: prune
+                    # g's image is greater; g drops out below this node
+                else:
+                    dfs(i + 1)
+                for k in moved:
+                    waiting[k].pop()
             unplace(a, b)
 
-    dfs(0, perms)
+    dfs(0)
     return found
 
 

@@ -357,10 +357,31 @@ class TestEngineInvariants:
         # The cancellation law prunes the stratum search and the leaf's
         # automorphisms prune the labeller: 13,079 and 3,491 calls without.
         # The search makes 2,798 place calls, and over 3,400 with either of
-        # its two cancellation prunes alone.
+        # its two cancellation prunes alone.  The count is exact: a symmetry
+        # check that prunes at other nodes changes it.
         counts = count_calls(lambda: ea.enumerate_up_to_iso(8), ("place", "_linearize"))
-        assert counts["place"] <= 3_000, counts
+        assert counts["place"] == 2_798, counts
         assert counts["_linearize"] <= 1_240, counts
+
+    def test_cell_maps_match_the_centralizer_listing(self):
+        # The byte maps the search compares with are computed with byte
+        # arithmetic; recompute each one from its permutation by cell lookup.
+        for n in range(2, 10):
+            for k in range((n - 2) // 2 + 1):
+                sigma = enumeration._canonical_sigma(n, k)
+                free = [(a, b) for a in range(1, n - 1) for b in range(a, n - 1)
+                        if sigma[a] != b]
+                index = {cell: i for i, cell in enumerate(free)}
+                perms = enumeration._centralizer_perms(n, sigma)
+                maps = enumeration._relabelings(n, sigma, free)
+                assert len(maps) == len(perms), (n, k)
+                for pi, (image, preimage, values) in zip(perms, maps):
+                    inv = [pi.index(x) for x in range(n)]
+                    cell = [index[tuple(sorted((pi[a], pi[b])))] for a, b in free]
+                    back = [index[tuple(sorted((inv[a], inv[b])))] for a, b in free]
+                    assert list(image) == cell, (n, k, pi)
+                    assert list(preimage) == back + [len(free)], (n, k, pi)
+                    assert list(values) == [*pi, n], (n, k, pi)
 
     def test_emitted_models_are_valid_and_iso_free(self):
         for n in range(2, 7):

@@ -10,7 +10,7 @@ import pytest
 import effalg as ea
 from effalg import properties
 from effalg.core import InvariantViolation, ValidationReport, Violation, _bits
-from effalg.enumeration import SearchResult, _PermData
+from effalg.enumeration import SearchResult
 from effalg.properties import Classification, Decision, OrthoScan, PropertyProfile, _ortho_scan
 from effalg.theorems import CheckResult, TheoremReport
 
@@ -535,7 +535,6 @@ RECORD_REPRS = [
      "atoms=(1,), witnesses={})"),
     (CheckResult("pass"), "CheckResult(status='pass', witness=None)"),
     (TheoremReport("m", {}), "TheoremReport(model_name='m', results={})"),
-    (_PermData((0,), (1, 2)), "_PermData(inv_cell=(0,), value_map=(1, 2))"),
     (SearchResult(None, "c"), "SearchResult(model=None, certificate='c')"),
 ]
 
