@@ -10,8 +10,11 @@ The generator fills partial sum tables cell by cell (row-major over pairs
   (pairs (1,2), (3,4), ... then fixed points), which pins every a + a' = 1
   cell and bars the unit value from all other cells, so uniqueness of
   orthosupplements becomes structural;
-* each newly decided cell closes all strong-associativity instances that
-  touch it; a contradiction prunes the branch;
+* each newly decided cell closes every strong-associativity instance
+  (x+y)+z = x+(y+z) that touches it, and a contradiction prunes the
+  branch; the instance on (z, y, x) is the one on (x, y, z) read
+  backwards, so it is enough to visit the new cell as x+y and as the outer
+  sum (x+y)+z, in both orientations, and compare both sides each time;
 * the cancellation law (a + b = a + c implies b = c) bars a value from a
   row that already holds it, both for the value tried in a cell and for a
   value an associativity instance forces on an undecided cell; every
@@ -300,72 +303,35 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
                 pre[w].pop()
                 held[b] &= ~(1 << w)
 
+    def clash(p: int, z: int, x: int, t: int) -> bool:
+        # Do the sides p+z and x+t of one instance contradict each other?  A
+        # side is a value, _UNDEF or _UNKNOWN, and a negative inner sum p or
+        # t makes its side that.  A value clashes with a different value, with
+        # _UNDEF, and with an unknown cell whose row or column already holds
+        # it (cancellation).
+        left = tab[p * n + z] if p >= 0 else p
+        right = tab[x * n + t] if t >= 0 else t
+        if left >= 0:
+            if right == _UNKNOWN:
+                return t >= 0 and (held[x] | held[t]) >> left & 1
+            return right != left
+        if right >= 0:
+            if left == _UNKNOWN:
+                return p >= 0 and (held[p] | held[z]) >> right & 1
+            return True
+        return False
+
     def _consistent(u: int, v: int, w: int) -> bool:
-        # Close every strong-associativity instance that touches the new cell.
-        orients = ((u, v),) if u == v else ((u, v), (v, u))
-        if w >= 0:
-            for x, y in orients:          # new cell as the inner sum x+y = w
-                for z in range(n):
-                    q = tab[w * n + z]
-                    if q < 0:
-                        continue
-                    t = tab[y * n + z]
-                    if t == _UNDEF:
-                        return False
-                    if t == _UNKNOWN:
-                        continue
-                    r = tab[x * n + t]
-                    if r == _UNKNOWN:
-                        if (held[x] | held[t]) >> q & 1:
-                            return False  # x + t = q would repeat q in a row
-                    elif r != q:
-                        return False
-            for p, z in orients:          # new cell as the outer sum (x+y)+z
-                for x, y in pre[p]:
-                    t = tab[y * n + z]
-                    if t == _UNDEF:
-                        return False
-                    if t == _UNKNOWN:
-                        continue
-                    r = tab[x * n + t]
-                    if r == _UNKNOWN:
-                        if (held[x] | held[t]) >> w & 1:
-                            return False
-                    elif r != w:
-                        return False
-            for y, z in orients:          # new cell as y+z = w
-                for x in range(n):
-                    p = tab[x * n + y]
-                    if p < 0:
-                        continue
-                    q = tab[p * n + z]
-                    if q < 0:
-                        continue
-                    r = tab[x * n + w]
-                    if r == _UNKNOWN:
-                        if (held[x] | held[w]) >> q & 1:
-                            return False
-                    elif r != q:
-                        return False
-            for x, t in orients:          # new cell as x+(y+z) = w
-                for y, z in pre[t]:
-                    p = tab[x * n + y]
-                    if p < 0:
-                        continue
-                    q = tab[p * n + z]
-                    if q >= 0 and q != w:
-                        return False
-        else:
-            for y, z in orients:          # undefined cell forced defined as y+z
-                for x in range(n):
-                    p = tab[x * n + y]
-                    if p >= 0 and tab[p * n + z] >= 0:
-                        return False
-            for x, t in orients:          # undefined cell forced defined as x+(y+z)
-                for y, z in pre[t]:
-                    p = tab[x * n + y]
-                    if p >= 0 and tab[p * n + z] >= 0:
-                        return False
+        # Close every instance (x+y)+z = x+(y+z) that touches the new cell.
+        # The new cell inside x+(y+z) is the new cell inside (z+y)+x, so the
+        # two positions below, in both orientations, cover every instance.
+        for a, b in ((u, v),) if u == v else ((u, v), (v, u)):
+            for z in range(n):            # new cell as x+y, with (x, y) = (a, b)
+                if clash(w, z, a, tab[b * n + z]):
+                    return False
+            for x, y in pre[a]:           # new cell as (x+y)+z, with x+y = a, z = b
+                if clash(a, b, x, tab[y * n + b]):
+                    return False
         return True
 
     # Pins.  Any failure here would mean the stratum is empty.
@@ -398,7 +364,7 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
                       for a in range(n))
         model = FiniteEffectAlgebra(n, one, table)
         if not validate(model).valid:
-            raise RuntimeError(
+            raise InvariantViolation(
                 f"enumeration produced an invalid table (engine defect): {model.entries()}")
         # Every automorphism fixes 0 and 1 and commutes with sigma, so it is
         # in the centralizer; the relabelings tied to the end map the table

@@ -293,18 +293,14 @@ def is_disjunctive(alg: FiniteEffectAlgebra) -> Decision:
     order = derive_order(alg)
     up, down = order.up, order.down
     n = alg.size
-    # above[x] = {c : x in down[c]}; 0 is the bottom (derive_order checks
-    # it), so b meets c in 0 iff no nonzero x below b is below c
-    above = [0] * n
-    for c in range(n):
-        for x in _bits(down[c]):
-            above[x] |= 1 << c
+    # 0 is the bottom (derive_order checks it), so b meets c in 0 iff no
+    # nonzero x below b is below c, that is c lies in no up[x]
     meets_in_0 = []
     for b in range(n):
         common = 0
         for x in _bits(down[b] & ~1):
-            common |= above[x]
-        meets_in_0.append(above[0] & ~common)
+            common |= up[x]
+        meets_in_0.append(up[0] & ~common)
     full = (1 << n) - 1
     for a in range(n):
         served = 0

@@ -12,7 +12,7 @@ import json
 from typing import Any
 
 from .core import FiniteEffectAlgebra, ValidationReport, validate
-from .properties import PROFILE_FLAGS, PropertyProfile, profile
+from .properties import PropertyProfile, profile
 from .theorems import CHECK_IDS, TheoremReport, run_all
 
 
@@ -55,7 +55,7 @@ def _key(alg: FiniteEffectAlgebra, k: Any) -> str:
 
 
 def _profile_json(alg: FiniteEffectAlgebra, prof: PropertyProfile) -> dict:
-    out: dict[str, Any] = {name: prof.flags()[name] for name in PROFILE_FLAGS}
+    out: dict[str, Any] = prof.flags()
     out["atoms"] = [alg.label(a) for a in prof.atoms]
     return out
 

@@ -384,6 +384,13 @@ class TestExitCodeThree:
         code, _, err = run(capsys, "enumerate", "--max-size", "5")
         assert code == 3 and "share one canonical form" in err
 
+    def test_invalid_leaf_exits_3(self, capsys, monkeypatch):
+        # a leaf that fails validation is an engine defect, not a traceback
+        bad = ea.ValidationReport(False, (ea.Violation("A2", (1, 1, 1), "fabricated"),))
+        monkeypatch.setattr(enumeration, "validate", lambda alg: bad)
+        code, _, err = run(capsys, "enumerate", "--max-size", "4")
+        assert code == 3 and "engine defect" in err
+
     def test_invariant_violation_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):
         import effalg.cli as cli_mod
 

@@ -362,6 +362,8 @@ class TestEngineInvariants:
         counts = count_calls(lambda: ea.enumerate_up_to_iso(8), ("place", "_linearize"))
         assert counts["place"] == 2_798, counts
         assert counts["_linearize"] <= 1_240, counts
+        counts = count_calls(lambda: ea.enumerate_up_to_iso(9), ("place",))
+        assert counts["place"] == 6_876, counts
 
     def test_cell_maps_match_the_centralizer_listing(self):
         # The byte maps the search compares with are computed with byte
