@@ -22,7 +22,7 @@ from .theorems import CHECK_IDS, run_exhaustive
 
 WITNESS_NAMES = ("ex34", "ex36-meet", "ex36-sup", "ex38", "ex39")
 
-ENUMERATE_PLAIN_LIMIT = 6  # orders 7..10 take up to about 2 s of CPU time; they sit behind --big
+ENUMERATE_PLAIN_LIMIT = 6  # orders 7..10 take up to about 1 s of CPU time; they sit behind --big
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-theorems", action="store_true")
     p.add_argument("--big", action="store_true",
                    help=f"allow orders above {ENUMERATE_PLAIN_LIMIT} "
-                        f"(up to about 2 s of CPU time, at order {ENUMERATION_CAP})")
+                        f"(up to about 1 s of CPU time, at order {ENUMERATION_CAP})")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("search", help="hunt for a model with a property profile")
@@ -206,7 +206,7 @@ def cmd_enumerate(args) -> int:
         raise ValueError(f"--max-size must lie in 2..{ENUMERATION_CAP}")
     if args.max_size > ENUMERATE_PLAIN_LIMIT and not args.big:
         raise ValueError(
-            f"orders above {ENUMERATE_PLAIN_LIMIT} take up to about 2 s of CPU time "
+            f"orders above {ENUMERATE_PLAIN_LIMIT} take up to about 1 s of CPU time "
             f"(order {ENUMERATION_CAP}); pass --big to allow")
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:

@@ -39,16 +39,18 @@ The generator fills partial sum tables cell by cell (row-major over pairs
 Isomorphisms fix 0 and 1 by definition, and the table alone determines
 the unit (the top of the induced order), so the canonical form ranges
 over all carrier permutations fixing 0 only.  It is the lexicographically
-least relabeled table.  A branch and bound finds it exactly: it hands out
-new labels in order and cuts a partial labeling only when row 1 of the
-relabeled table, the first row that is not the same for every labeling,
-is already provably greater than the best table found, so no least
-labeling is ever cut.
+least relabeled table.  A branch and bound finds it exactly.  A greedy
+dive gives the first table to beat; the search then hands out new labels
+in order, reads the relabeled table as far as a partial labeling decides
+it, row after row, and cuts the labeling only when that prefix, or a lower
+bound on the first cell it leaves open, is provably greater than the best
+table found, so no least labeling is ever cut.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .core import FiniteEffectAlgebra, InvariantViolation, validate
@@ -62,18 +64,20 @@ _UNDEF = -1
 
 def permute(alg: FiniteEffectAlgebra, pi: Sequence[int]) -> FiniteEffectAlgebra:
     """Relabel a table along a carrier permutation with pi[0] == 0."""
-    if sorted(pi) != list(range(alg.size)) or pi[0] != 0:
+    n = alg.size
+    if sorted(pi) != list(range(n)) or pi[0] != 0:
         raise ValueError("need a carrier permutation fixing 0")
-    entries = {}
-    for a, b, c in alg.defined_pairs():
-        entries[(pi[a], pi[b])] = pi[c]
-    labels: tuple[str, ...] = ()
-    if alg.labels:
-        out = [""] * alg.size
-        for i, lab in enumerate(alg.labels):
-            out[pi[i]] = lab
-        labels = tuple(out)
-    return FiniteEffectAlgebra.from_entries(alg.size, pi[alg.one], entries, labels, alg.name)
+    inv = [0] * n
+    for x, label in enumerate(pi):
+        inv[label] = x
+    # row pi[x] of the image is row x read in the order of inv, values relabeled
+    image: dict[int | None, int | None] = dict(enumerate(pi))
+    image[None] = None
+    read = operator.itemgetter(*inv)
+    rows = alg.table
+    table = tuple(tuple(map(image.__getitem__, read(rows[x]))) for x in inv)
+    labels = read(alg.labels) if alg.labels else ()
+    return FiniteEffectAlgebra(n, pi[alg.one], table, labels, alg.name)
 
 
 def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int],
@@ -105,22 +109,71 @@ def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int],
     return bytes(out)
 
 
+def _greedy_labeling(rows: Sequence[Sequence[int | None]]) -> tuple[list[int], list[int]]:
+    """A first labeling for the branch and bound to beat, as pi and its inverse.
+
+    Labels 1, 2, ... go out in turn, label k to the unlabeled element y
+    whose cells (a, b) with 1 <= a <= b <= k read least in the order of the
+    linearization, counting an unlabeled sum as above k.  They differ from
+    one choice of y to the next only where y sits: in a cell whose sum is y
+    (code k) and in column k.
+    """
+    n = len(rows)
+    pi = [0] + [-1] * (n - 1)
+    inv = [0] * n
+    unlabeled = list(range(1, n))
+    pending: list[list[int]] = [[] for _ in range(n)]  # unlabeled sums in row a, by column
+    for k in range(1, n):
+        cands = unlabeled
+        for a in range(1, k + 1):
+            if len(cands) == 1:
+                break
+            for v in pending[a]:
+                if pi[v] < 0 and v in cands:
+                    cands = [v]  # label k is the least this cell can read
+                    break
+            else:  # cell (a, k), with y in column k
+                row = rows[inv[a]]
+                codes = []
+                for y in cands:
+                    v = rows[y][y] if a == k else row[y]
+                    codes.append(255 if v is None else k + 1 if pi[v] < 0 else pi[v])
+                low = min(codes)
+                cands = [y for y, c in zip(cands, codes) if c == low]
+        y = cands[0]
+        pi[y], inv[k] = k, y
+        unlabeled.remove(y)
+        for a in range(1, k + 1):
+            v = rows[inv[a]][y]
+            if v is not None and pi[v] < 0:
+                pending[a].append(v)
+    return pi, inv
+
+
 def canonicalize(alg: FiniteEffectAlgebra, *,
                  automorphisms: Sequence[Sequence[int]] = ()) -> tuple[bytes, FiniteEffectAlgebra]:
     """Canonical form and the canonically relabeled model.
 
     The form is the lexicographically least linearization over every
     carrier permutation pi fixing 0, and the model is relabeled along the
-    least such pi (the first in ``itertools.permutations`` order).  A
-    depth-first search hands out the new labels 1, 2, ..., n-1 in turn and
-    keeps the least linearization ``best`` found so far.  Row 0 of every
-    relabeled table is 0, 1, ..., n-1, so row 1 leads the comparison: its
-    cell (1, b) is decided once labels 1 and b are handed out and the sum
-    is undefined (255) or already labeled, and is otherwise at least the
-    count of labels handed out.  A subtree is cut only when a decided cell
-    or that lower bound exceeds ``best`` after an equal prefix, so every
-    leaf below it is worse than ``best``; every minimising pi is reached,
-    and the result equals that of trying all (n-1)! relabelings.
+    least such pi (the first in ``itertools.permutations`` order).  The
+    greedy labeling of ``_greedy_labeling`` gives the first bound ``best``,
+    and a depth-first search hands out the new labels 1, 2, ..., n-1 in
+    turn.  After label k it reads the relabeled table in linearization
+    order, from where its parent stopped, up to the first cell whose code
+    is not known yet.  A cell (a, b) with a, b <= k is known when its sum
+    is undefined (255) or labeled.  A row a <= k whose element has no
+    defined sum with an unlabeled element reads 255 to its end, so the
+    reading runs on into row a + 1.  The first open cell is bounded below:
+    by k + 1 when its sum is unlabeled, and in column k + 1 of row a by the
+    least code of x + y over the unlabeled y, where x holds label a and an
+    unlabeled sum counts as k + 1.  A subtree is cut only when a known cell
+    or that bound exceeds ``best`` after an equal prefix, so every leaf
+    below it is worse than ``best``; every minimising pi is reached, and the
+    result equals that of trying all (n-1)! relabelings.  A child may
+    resume where its parent stopped because ``best`` only falls, and each
+    table that replaced it since then is a leaf below the parent, equal to
+    it on the cells read.
 
     ``automorphisms`` may hand over the automorphism group of ``alg``: each
     g as a tuple with ``alg`` mapped onto itself by a -> g[a].  It must be
@@ -134,33 +187,58 @@ def canonicalize(alg: FiniteEffectAlgebra, *,
     Carriers of more than 255 elements raise ``ValueError`` (see ``_linearize``).
     """
     n = alg.size
-    best = _linearize(alg, range(n), range(n), None)  # the identity bounds the search
-    assert best is not None
-    best_pi = list(range(n))
     rows = alg.table
+    best_pi, inv = _greedy_labeling(rows)
+    best = _linearize(alg, best_pi, inv, None)
+    assert best is not None
+    # partners[x]: (y, x + y) for every y with a defined sum, y != 0
+    partners = [[(y, v) for y, v in enumerate(row) if y and v is not None] for row in rows]
+    # cell (a, b) of the relabeled table sits at best[start[a] + b]
+    start = [a * n - a * (a + 1) // 2 for a in range(n)]
     pi = [0] + [-1] * (n - 1)
-    inv = [0] * n
 
-    def row_one_exceeds_best(k: int) -> bool:
-        # labels 0..k are handed out; compare cells (1, 1..k) with best
-        row = rows[inv[1]]
-        for b in range(1, k + 1):
-            v = row[inv[b]]
-            code = 255 if v is None else pi[v]
-            ref = best[n + b - 1]
-            if code < 0:
-                return k + 1 > ref
-            if code != ref:
-                return code > ref
-        return False
+    def walk(k: int, a: int, b: int) -> tuple[int, int] | None:
+        # Labels 0..k are handed out and cells before (a, b) equal best.
+        # Compare on to the first cell whose code is not known yet; None
+        # when a known code or that cell's lower bound exceeds best.
+        while a <= k:
+            x = inv[a]
+            if b <= k:
+                v = rows[x][inv[b]]
+                code = 255 if v is None else pi[v]
+                if code < 0:  # an unlabeled sum gets a label above k
+                    return None if k + 1 > best[start[a] + b] else (a, b)
+                ref = best[start[a] + b]
+                if code != ref:
+                    return None if code > ref else (a, b)
+                b += 1
+                continue
+            if b < n:  # label b goes to an element not labeled yet
+                low = 255
+                for y, v in partners[x]:
+                    if pi[y] < 0:
+                        code = pi[v] if pi[v] >= 0 else k + 1
+                        if code < low:
+                            low = code
+                if low < 255:
+                    return None if low > best[start[a] + b] else (a, b)
+                # x + y is undefined for every unlabeled y: the rest of row
+                # a reads 255, the greatest code, and so must best
+                if best.count(255, start[a] + b, start[a] + n) < n - b:
+                    return None
+            a += 1
+            b = a
+        return a, b
 
-    def dfs(k: int, stab: Sequence[Sequence[int]]) -> None:
-        # stab: the automorphisms fixing every element labeled so far
+    def dfs(k: int, stab: Sequence[Sequence[int]], a: int, b: int) -> None:
+        # stab: the automorphisms fixing every element labeled so far; the
+        # relabeled table equals best before cell (a, b)
         nonlocal best, best_pi
         if k == n:
-            lin = _linearize(alg, pi, inv, best)
-            if lin is not None and (lin < best or pi < best_pi):
-                best, best_pi = lin, pi[:]
+            if a < n:  # strictly less than best at cell (a, b)
+                best, best_pi = _linearize(alg, pi, inv, None), pi[:]
+            elif pi < best_pi:
+                best_pi = pi[:]
             return
         seen = 0
         for y in range(1, n):
@@ -168,11 +246,12 @@ def canonicalize(alg: FiniteEffectAlgebra, *,
                 for g in stab:
                     seen |= 1 << g[y]
                 pi[y], inv[k] = k, y
-                if not row_one_exceeds_best(k):
-                    dfs(k + 1, [g for g in stab if g[y] == y])
+                cell = walk(k, a, b)
+                if cell is not None:
+                    dfs(k + 1, [g for g in stab if g[y] == y], *cell)
                 pi[y] = -1
 
-    dfs(1, automorphisms)
+    dfs(1, automorphisms, 1, 1)
     base = best_pi
     for g in automorphisms:
         coset_pi = [base[x] for x in g]
@@ -186,8 +265,9 @@ def canonical_form(alg: FiniteEffectAlgebra) -> bytes:
 
     It is meant for enumerated orders.  The cost grows with the automorphism
     group, which the search does not prune: ``boolean:4`` (16 elements)
-    tries 20,161 relabelings in about 0.75 s, and ``even_subsets:6`` (32
-    elements) ran past 60 s.
+    takes about 0.4 s (89,619 search nodes, all 24 least labelings
+    reached), and ``even_subsets:6`` (32 elements) about 44 s, in CPU time
+    on one core of a 2-vCPU VM.
     """
     return canonicalize(alg)[0]
 

@@ -354,14 +354,15 @@ class TestEngineInvariants:
         assert max(len(group) for _, group in pairs) == 719  # S_6 on six self-supplements
 
     def test_work_at_order_8(self):
-        # The cancellation law prunes the stratum search and the leaf's
-        # automorphisms prune the labeller: 13,079 and 3,491 calls without.
-        # The search makes 2,798 place calls, and over 3,400 with either of
-        # its two cancellation prunes alone.  The count is exact: a symmetry
-        # check that prunes at other nodes changes it.
+        # The cancellation law prunes the stratum search: 13,079 place calls
+        # without it, 2,798 with it, and over 3,400 with either of its two
+        # prunes alone.  The labeller linearizes 105 tables: the greedy
+        # first bound and the self-check of each of the 40 classes, and the
+        # 25 leaves that beat the bound.  Both counts are exact: a check
+        # that prunes or labels at other nodes changes them.
         counts = count_calls(lambda: ea.enumerate_up_to_iso(8), ("place", "_linearize"))
         assert counts["place"] == 2_798, counts
-        assert counts["_linearize"] <= 1_240, counts
+        assert counts["_linearize"] == 105, counts
         counts = count_calls(lambda: ea.enumerate_up_to_iso(9), ("place",))
         assert counts["place"] == 6_876, counts
 
@@ -552,17 +553,49 @@ class TestCanonicalForm:
                 form, canon = ea.canonicalize(alg, automorphisms=order)
                 assert (form, canon.table, canon.labels) == (ref_form, ref.table, ref.labels)
 
+    def test_first_bound_that_is_not_the_form(self, monkeypatch):
+        # The leaves of orders 2-8 on which the greedy first labeling is
+        # beaten, so the search must replace its bound, each with its
+        # group and without it.
+        def dive_form(alg):
+            return _linearize(alg, *enumeration._greedy_labeling(alg.table), None)
+
+        beaten = [(leaf, group) for leaf, group in leaves_with_groups(monkeypatch, range(2, 9))
+                  if dive_form(leaf) != ea.canonicalize(leaf)[0]]
+        assert beaten
+        assert any(group for _, group in beaten)
+        for leaf, group in beaten:
+            assert_labelled_as_brute_force(leaf)
+            assert_labelled_as_brute_force(leaf, group)
+
+    def test_row_that_closes_before_its_last_cell(self):
+        # In chain:4 + boolean:2 the chain's atom a has a + x defined for
+        # x in {0, a, 2a, 3a} only, so row 1 reads 255 from the fourth
+        # label on and the search compares row 2 before the last label is
+        # out.
+        hsum = ea.horizontal_sum(ea.chain(4), ea.boolean_algebra(2))
+        group = automorphisms_by_comparison(hsum)
+        assert group
+        rng = random.Random(20)
+        for _ in range(4):
+            alg, conjugated = relabelled_with_group(hsum, group, rng)
+            assert_labelled_as_brute_force(alg)
+            assert_labelled_as_brute_force(alg, conjugated)
+
     def test_canonicalize_with_the_group_of_boolean4(self):
-        # the 23 atom permutations; without them the labeller tries 20,161
-        # relabelings, with them 841
+        # The 23 atom permutations.  The greedy first labeling is already
+        # least, so the labeller linearizes that one table with or without
+        # them; with them the search visits 3,761 nodes and reaches one
+        # leaf, without them 89,619 nodes and all 24 least labelings.
         b4 = ea.boolean_algebra(4)
         group = [g for g in (tuple(sum(1 << p[i] for i in range(4) if x >> i & 1)
                                    for x in range(b4.size))
                              for p in itertools.permutations(range(4)))
                  if g != tuple(range(b4.size))]
         assert automorphism_count(b4, group) == 23
-        calls = count_calls(lambda: ea.canonicalize(b4, automorphisms=group), ("_linearize",))
-        assert calls["_linearize"] < 1_000
+        calls = count_calls(lambda: ea.canonicalize(b4, automorphisms=group),
+                            ("_linearize", "dfs"))
+        assert calls == {"_linearize": 1, "dfs": 3_761}, calls
         form, canon = ea.canonicalize(b4)
         got_form, got = ea.canonicalize(b4, automorphisms=group)
         assert (got_form, got.table, got.labels) == (form, canon.table, canon.labels)
