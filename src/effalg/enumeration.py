@@ -14,7 +14,13 @@ The generator fills partial sum tables cell by cell (row-major over pairs
   (x+y)+z = x+(y+z) that touches it, and a contradiction prunes the
   branch; the instance on (z, y, x) is the one on (x, y, z) read
   backwards, so it is enough to visit the new cell as x+y and as the outer
-  sum (x+y)+z, in both orientations, and compare both sides each time;
+  sum (x+y)+z, in both orientations, and compare both sides each time.
+  Each row keeps bitmasks of its values and of its columns decided defined
+  and decided undefined, so a new undefined cell a+b is closed as x+y by
+  one mask test (some a+(b+z) is defined), a new value w fails at once when
+  some w+z is defined while b+z is undefined, and otherwise only the z with
+  b+z defined are visited: an instance whose inner sum is unknown, or whose
+  two sides are both undefined or unknown, cannot contradict;
 * the cancellation law (a + b = a + c implies b = c) bars a value from a
   row that already holds it, both for the value tried in a cell and for a
   value an associativity instance forces on an undecided cell; every
@@ -26,14 +32,15 @@ The generator fills partial sum tables cell by cell (row-major over pairs
   compared with the prefix up to the first cell whose preimage is still
   undecided, and the relabeling is looked at again only when that cell is
   decided (the watched literals of SAT solvers);
-* surviving leaves are validated and canonically relabeled; the pruning
-  ranges over the whole centralizer, so it keeps exactly one leaf per
-  class, and two leaves with one canonical form raise
-  ``InvariantViolation``;
+* surviving leaves are canonically labelled; the pruning ranges over the
+  whole centralizer, so it keeps exactly one leaf per class, and two
+  leaves with one canonical form raise ``InvariantViolation``;
 * the relabelings whose image ties the whole table at a leaf map it onto
   itself, so they are its whole automorphism group but the identity, and
   the labeller receives them to try one new label per orbit;
-* every emitted model is checked to be its own canonical representative,
+* each class is relabelled once, into the emitted model with its final
+  name, and that model is validated once (its memoised report is the one
+  later analyses read) and checked to be its own canonical representative,
   so callers compare emitted models directly, not their canonical forms.
 
 Isomorphisms fix 0 and 1 by definition, and the table alone determines
@@ -62,8 +69,12 @@ _UNKNOWN = -2
 _UNDEF = -1
 
 
-def permute(alg: FiniteEffectAlgebra, pi: Sequence[int]) -> FiniteEffectAlgebra:
-    """Relabel a table along a carrier permutation with pi[0] == 0."""
+def permute(alg: FiniteEffectAlgebra, pi: Sequence[int], *,
+            name: str | None = None) -> FiniteEffectAlgebra:
+    """Relabel a table along a carrier permutation with pi[0] == 0.
+
+    The image keeps the name of ``alg`` unless ``name`` is given.
+    """
     n = alg.size
     if sorted(pi) != list(range(n)) or pi[0] != 0:
         raise ValueError("need a carrier permutation fixing 0")
@@ -77,7 +88,8 @@ def permute(alg: FiniteEffectAlgebra, pi: Sequence[int]) -> FiniteEffectAlgebra:
     rows = alg.table
     table = tuple(tuple(map(image.__getitem__, read(rows[x]))) for x in inv)
     labels = read(alg.labels) if alg.labels else ()
-    return FiniteEffectAlgebra(n, pi[alg.one], table, labels, alg.name)
+    return FiniteEffectAlgebra(n, pi[alg.one], table, labels,
+                               alg.name if name is None else name)
 
 
 def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int],
@@ -150,9 +162,14 @@ def _greedy_labeling(rows: Sequence[Sequence[int | None]]) -> tuple[list[int], l
     return pi, inv
 
 
-def canonicalize(alg: FiniteEffectAlgebra, *,
-                 automorphisms: Sequence[Sequence[int]] = ()) -> tuple[bytes, FiniteEffectAlgebra]:
+def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[int]] = (),
+                 relabel: bool = True
+                 ) -> tuple[bytes, FiniteEffectAlgebra] | tuple[bytes, list[int]]:
     """Canonical form and the canonically relabeled model.
+
+    With ``relabel=False`` the second item is the least relabeling pi
+    itself, as a list, and no model is built: ``permute(alg, pi)`` is the
+    model, and the enumerator builds it once it knows its name.
 
     The form is the lexicographically least linearization over every
     carrier permutation pi fixing 0, and the model is relabeled along the
@@ -257,7 +274,7 @@ def canonicalize(alg: FiniteEffectAlgebra, *,
         coset_pi = [base[x] for x in g]
         if coset_pi < best_pi:
             best_pi = coset_pi
-    return best, permute(alg, best_pi)
+    return best, permute(alg, best_pi) if relabel else best_pi
 
 
 def canonical_form(alg: FiniteEffectAlgebra) -> bytes:
@@ -269,7 +286,7 @@ def canonical_form(alg: FiniteEffectAlgebra) -> bytes:
     reached), and ``even_subsets:6`` (32 elements) about 44 s, in CPU time
     on one core of a 2-vCPU VM.
     """
-    return canonicalize(alg)[0]
+    return canonicalize(alg, relabel=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +313,22 @@ def _centralizer_perms(n: int, sigma: Sequence[int]) -> list[tuple[int, ...]]:
     mid = list(range(1, n - 1))
     pairs = sorted({tuple(sorted((a, sigma[a]))) for a in mid if sigma[a] != a})
     fixed = [a for a in mid if sigma[a] == a]
-    out: list[tuple[int, ...]] = []
+    # The carrier laid out pairs first, then the fixed points; an element
+    # is written as its images in that layout and read back in carrier order.
+    layout = [0, *(a for pair in pairs for a in pair), *fixed, n - 1]
+    read = operator.itemgetter(*map(layout.index, range(n)))
+    pair_images = []
     for pair_order in itertools.permutations(range(len(pairs))):
         for flips in itertools.product((False, True), repeat=len(pairs)):
-            for fixed_img in itertools.permutations(fixed):
-                pi = list(range(n))
-                for slot, which in enumerate(pair_order):
-                    a, b = pairs[slot]
-                    ta, tb = pairs[which]
-                    if flips[slot]:
-                        ta, tb = tb, ta
-                    pi[a], pi[b] = ta, tb
-                for src, dst in zip(fixed, fixed_img):
-                    pi[src] = dst
-                tpi = tuple(pi)
-                if tpi != tuple(range(n)):
-                    out.append(tpi)
+            images: list[int] = []
+            for which, flip in zip(pair_order, flips):
+                ta, tb = pairs[which]
+                images += (tb, ta) if flip else (ta, tb)
+            pair_images.append((0, *images))
+    unit = (n - 1,)
+    out = [read(head + fixed_img + unit) for head in pair_images
+           for fixed_img in itertools.permutations(fixed)]
+    del out[0]  # the identity
     return out
 
 
@@ -357,60 +374,71 @@ def _relabelings(n: int, sigma: Sequence[int],
     return out
 
 
-def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEffectAlgebra]]:
+def _search_stratum(n: int, sigma: Sequence[int]
+                    ) -> list[tuple[bytes, tuple[FiniteEffectAlgebra, list[int]]]]:
     one = n - 1
     tab = [_UNKNOWN] * (n * n)  # tab[a*n+b] == tab[b*n+a]: the symmetric sum table
     pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     held = [0] * n  # held[a]: bitmask of the values placed in row a
+    defd = [0] * n  # defd[a]: bitmask of the columns b with a + b decided and defined
+    undf = [0] * n  # undf[a]: bitmask of the columns b with a + b decided undefined
+    members: list[tuple[int, ...]] = [()]  # members[m]: the elements of bitmask m
+    for z in range(n):
+        members += [elems + (z,) for elems in members]
 
     def place(a: int, b: int, w: int) -> bool:
+        # Decide a + b = w and close every instance (x+y)+z = x+(y+z) that
+        # touches the new cell; False on a contradiction.  The cell stays
+        # decided either way, for the caller to undo.  The new cell inside
+        # x+(y+z) is the new cell inside (z+y)+x, so the new cell as x+y
+        # and as the outer sum (x+y)+z, in both orientations, covers every
+        # instance.  A side is a value, _UNDEF or _UNKNOWN; a value clashes
+        # with a different value, with _UNDEF, and with an unknown cell
+        # whose row or column already holds it (cancellation).
         tab[a * n + b] = tab[b * n + a] = w
-        if w >= 0:
-            pre[w].append((a, b))
-            held[a] |= 1 << w
-            if a != b:
-                pre[w].append((b, a))
-                held[b] |= 1 << w
-        return _consistent(a, b, w)
-
-    def unplace(a: int, b: int) -> None:
-        w = tab[a * n + b]
-        tab[a * n + b] = tab[b * n + a] = _UNKNOWN
-        if w >= 0:
-            pre[w].pop()
-            held[a] &= ~(1 << w)
-            if a != b:
-                pre[w].pop()
-                held[b] &= ~(1 << w)
-
-    def clash(p: int, z: int, x: int, t: int) -> bool:
-        # Do the sides p+z and x+t of one instance contradict each other?  A
-        # side is a value, _UNDEF or _UNKNOWN, and a negative inner sum p or
-        # t makes its side that.  A value clashes with a different value, with
-        # _UNDEF, and with an unknown cell whose row or column already holds
-        # it (cancellation).
-        left = tab[p * n + z] if p >= 0 else p
-        right = tab[x * n + t] if t >= 0 else t
-        if left >= 0:
-            if right == _UNKNOWN:
-                return t >= 0 and (held[x] | held[t]) >> left & 1
-            return right != left
-        if right >= 0:
-            if left == _UNKNOWN:
-                return p >= 0 and (held[p] | held[z]) >> right & 1
+        sides = ((a, b),) if a == b else ((a, b), (b, a))
+        if w < 0:
+            undf[a] |= 1 << b
+            undf[b] |= 1 << a
+            for p, q in sides:
+                if held[q] & defd[p]:
+                    return False  # some p+(q+z) is defined, which needs p+q defined
+                for x, y in pre[p]:  # (x+y)+q with x+y = p: x+(y+q) must be undefined
+                    t = tab[y * n + q]
+                    if t >= 0 and defd[x] >> t & 1:
+                        return False
             return True
-        return False
-
-    def _consistent(u: int, v: int, w: int) -> bool:
-        # Close every instance (x+y)+z = x+(y+z) that touches the new cell.
-        # The new cell inside x+(y+z) is the new cell inside (z+y)+x, so the
-        # two positions below, in both orientations, cover every instance.
-        for a, b in ((u, v),) if u == v else ((u, v), (v, u)):
-            for z in range(n):            # new cell as x+y, with (x, y) = (a, b)
-                if clash(w, z, a, tab[b * n + z]):
+        pre[w].append((a, b))
+        held[a] |= 1 << w
+        defd[a] |= 1 << b
+        if a != b:
+            pre[w].append((b, a))
+            held[b] |= 1 << w
+            defd[b] |= 1 << a
+        w_row = w * n
+        for p, q in sides:
+            # the new cell as x+y: w+z against p+(q+z), for every z
+            if defd[w] & undf[q]:
+                return False  # w+z is defined, q+z is not
+            p_row = p * n
+            q_row = q * n
+            for z in members[defd[q]]:
+                t = tab[q_row + z]
+                left = tab[w_row + z]
+                right = tab[p_row + t]
+                if left >= 0:
+                    if right != left and (right != _UNKNOWN or (held[p] | held[t]) >> left & 1):
+                        return False
+                elif right >= 0 and (left == _UNDEF or (held[w] | held[z]) >> right & 1):
                     return False
-            for x, y in pre[a]:           # new cell as (x+y)+z, with x+y = a, z = b
-                if clash(a, b, x, tab[y * n + b]):
+            # the new cell as (x+y)+z with x+y = p, z = q: w against x+(y+q)
+            for x, y in pre[p]:
+                t = tab[y * n + q]
+                if t >= 0:
+                    right = tab[x * n + t]
+                    if right != w and (right != _UNKNOWN or (held[x] | held[t]) >> w & 1):
+                        return False
+                elif t == _UNDEF:
                     return False
         return True
 
@@ -423,9 +451,11 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
             return []
 
     free = [(a, b) for a in range(1, n - 1) for b in range(a, n - 1) if sigma[a] != b]
-    # The pins put a and the unit in every middle row a, so the cancellation
-    # check in dfs bars a + b from a, b and the unit.
-    values = [*range(1, n - 1), _UNDEF]
+    # A free cell holds a middle element or is undefined; middle is the
+    # bitmask of the middle elements.  The pins put a and the unit in every
+    # middle row a, so the cancellation check in dfs bars a + b from a, b
+    # and the unit.
+    middle = (1 << (n - 1)) - 2
 
     # waiting[i] holds the relabelings g whose image ties the decided prefix
     # up to a cell p whose preimage, cell i, is undecided: they wait for dfs
@@ -437,57 +467,65 @@ def _search_stratum(n: int, sigma: Sequence[int]) -> list[tuple[bytes, FiniteEff
         waiting[g[1][0]].append(g)
 
     codes = bytearray(nfree)  # codes[i]: the value decided in free cell i, n if undefined
-    found: list[tuple[bytes, FiniteEffectAlgebra]] = []
+    found: list[tuple[bytes, tuple[FiniteEffectAlgebra, list[int]]]] = []
 
     def emit() -> None:
         table = tuple(tuple(None if w < 0 else w for w in tab[a * n:(a + 1) * n])
                       for a in range(n))
-        model = FiniteEffectAlgebra(n, one, table)
-        if not validate(model).valid:
-            raise InvariantViolation(
-                f"enumeration produced an invalid table (engine defect): {model.entries()}")
+        leaf = FiniteEffectAlgebra(n, one, table)
         # Every automorphism fixes 0 and 1 and commutes with sigma, so it is
         # in the centralizer; the relabelings tied to the end map the table
         # onto itself, so they are the whole group but the identity.
-        found.append(canonicalize(model, automorphisms=[g[2][:n] for g in waiting[nfree]]))
+        form, pi = canonicalize(leaf, automorphisms=[g[2][:n] for g in waiting[nfree]],
+                                relabel=False)
+        found.append((form, (leaf, pi)))
 
     def dfs(i: int) -> None:
         if i == nfree:
             emit()
             return
         a, b = free[i]
-        taken = held[a] | held[b]
         watched = waiting[i]
-        for w in values:
-            if w >= 0 and taken >> w & 1:
-                continue  # cancellation: a + b = w would repeat w in row a or b
+        # the middle values not yet in row a or b (cancellation), then undefined
+        for w in members[middle & ~(held[a] | held[b])] + (_UNDEF,):
             if place(a, b, w):
-                codes[i] = n if w < 0 else w
+                code = codes[i] = n if w < 0 else w
                 moved: list[int] = []
                 for g in watched:
                     # Resume comparing g's image of the prefix with the prefix
                     # at the image of cell i, up to the next undecided preimage.
                     image, preimage, vmap = g
                     p = image[i]
-                    k = i
-                    while k <= i:
-                        img, cur = vmap[codes[k]], codes[p]
-                        if img != cur:
-                            break
+                    img = vmap[code]
+                    while img == codes[p]:
                         p += 1
                         k = preimage[p]
+                        if k > i:  # tied up to an undecided preimage: wait for it
+                            waiting[k].append(g)
+                            moved.append(k)
+                            break
+                        img = vmap[codes[k]]
                     else:
-                        waiting[k].append(g)
-                        moved.append(k)
-                        continue
-                    if img < cur:
-                        break  # some relabeling is strictly smaller: prune
-                    # g's image is greater; g drops out below this node
+                        if img < codes[p]:
+                            break  # some relabeling is strictly smaller: prune
+                        # g's image is greater; g drops out below this node
                 else:
                     dfs(i + 1)
                 for k in moved:
                     waiting[k].pop()
-            unplace(a, b)
+            # undo the cell
+            tab[a * n + b] = tab[b * n + a] = _UNKNOWN
+            if w < 0:
+                undf[a] &= ~(1 << b)
+                undf[b] &= ~(1 << a)
+            else:
+                pre[w].pop()
+                held[a] &= ~(1 << w)
+                defd[a] &= ~(1 << b)
+                if a != b:
+                    pre[w].pop()
+                    held[b] &= ~(1 << w)
+                    defd[b] &= ~(1 << a)
 
     dfs(0)
     return found
@@ -501,17 +539,26 @@ def enumerate_up_to_iso(n: int) -> list[FiniteEffectAlgebra]:
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration cap exceeded: need 2 <= n <= {ENUMERATION_CAP}")
-    by_form: dict[bytes, FiniteEffectAlgebra] = {}
+    by_form: dict[bytes, tuple[FiniteEffectAlgebra, list[int]]] = {}
     for pairs in range((n - 2) // 2 + 1):
-        for form, model in _search_stratum(n, _canonical_sigma(n, pairs)):
+        for form, labelled in _search_stratum(n, _canonical_sigma(n, pairs)):
             if form in by_form:
                 raise InvariantViolation(
                     f"two order-{n} leaves share one canonical form (incomplete symmetry pruning)")
-            by_form[form] = model
-    forms = sorted(by_form)
-    ordered = [by_form[f]._replace(name=f"enum:{n}:{i}") for i, f in enumerate(forms)]
-    if any(_linearize(m, range(n), range(n), None) != f for f, m in zip(forms, ordered)):
-        raise InvariantViolation(f"an order-{n} model is not its own canonical representative")
+            by_form[form] = labelled
+    ordered = []
+    for i, form in enumerate(sorted(by_form)):
+        leaf, pi = by_form.pop(form)  # popped: each leaf is freed once its model is built
+        model = permute(leaf, pi, name=f"enum:{n}:{i}")
+        # Validated once, after labelling: the relabelled table is
+        # isomorphic to the leaf, and the memoised report is the one that
+        # profile and run_all read.
+        if not validate(model).valid:
+            raise InvariantViolation(
+                f"enumeration produced an invalid table (engine defect): {model.entries()}")
+        if _linearize(model, range(n), range(n), None) != form:
+            raise InvariantViolation(f"an order-{n} model is not its own canonical representative")
+        ordered.append(model)
     return ordered
 
 

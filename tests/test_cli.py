@@ -374,7 +374,7 @@ class TestExitCodeThree:
 
     def test_enumerator_relabelling_defect_exits_3(self, capsys, monkeypatch):
         # without relabelling, an emitted model is not its own canonical form
-        monkeypatch.setattr(enumeration, "permute", lambda alg, pi: alg)
+        monkeypatch.setattr(enumeration, "permute", lambda alg, pi, **names: alg)
         code, _, err = run(capsys, "enumerate", "--max-size", "4")
         assert code == 3 and "canonical representative" in err
 

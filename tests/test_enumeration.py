@@ -183,11 +183,11 @@ def record_leaves(monkeypatch, groups=None):
     leaves = []
     labelled = enumeration.canonicalize
 
-    def recorded(alg, *, automorphisms=()):
+    def recorded(alg, *, automorphisms=(), relabel=True):
         leaves.append(alg)
         if groups is not None:
             groups.append(automorphisms)
-        return labelled(alg, automorphisms=automorphisms)
+        return labelled(alg, automorphisms=automorphisms, relabel=relabel)
 
     monkeypatch.setattr(enumeration, "canonicalize", recorded)
     return leaves
@@ -363,6 +363,9 @@ class TestEngineInvariants:
         counts = count_calls(lambda: ea.enumerate_up_to_iso(8), ("place", "_linearize"))
         assert counts["place"] == 2_798, counts
         assert counts["_linearize"] == 105, counts
+        counts = count_calls(lambda: [ea.enumerate_up_to_iso(n) for n in range(2, 9)],
+                             ("place",))
+        assert counts["place"] == 3_802, counts
         counts = count_calls(lambda: ea.enumerate_up_to_iso(9), ("place",))
         assert counts["place"] == 6_876, counts
 

@@ -136,6 +136,18 @@ def test_enumerate_canonicalizes_each_class_once(capsys):
     assert counts[enumeration.canonicalize.__code__] == classes
 
 
+def test_enumerate_builds_each_class_twice_and_validates_it_once(capsys):
+    # A class is built as its leaf and once more as the relabelled model
+    # with its final name; only that model is validated, and the theorem
+    # checks read its memoised report.
+    counts = _calls_during(main, ["enumerate", "--max-size", "6", "--verify-theorems"])
+    out = capsys.readouterr().out
+    classes = sum(int(k) for k in re.findall(r"^order \d+: (\d+) models$", out, re.M))
+    assert classes == 19
+    assert counts[core.validate.__wrapped__.__code__] == classes
+    assert counts[core.FiniteEffectAlgebra.__init__.__code__] == 2 * classes
+
+
 def test_labelling_tries_few_relabelings_per_class():
     # Each order-8 class is labelled once, trying at most 200 relabelings
     # (brute force tries all 7! = 5,040), and checked once under the identity.
