@@ -16,7 +16,6 @@ from pathlib import Path
 from . import models, report
 from .core import FiniteEffectAlgebra, InvalidModelError, InvariantViolation, derive_order, validate
 from .enumeration import ENUMERATION_CAP, SearchConstraint, enumerate_up_to_iso, search
-from .models import EfaParseError
 from .properties import PROFILE_FLAGS, atoms, profile
 from .theorems import CHECK_IDS, run_exhaustive
 
@@ -61,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("search", help="hunt for a model with a property profile")
-    p.add_argument("--require", nargs="+", default=[], metavar="PROP")
-    p.add_argument("--forbid", nargs="+", default=[], metavar="PROP")
+    p.add_argument("--require", nargs="+", action="extend", default=[], metavar="PROP")
+    p.add_argument("--forbid", nargs="+", action="extend", default=[], metavar="PROP")
     p.add_argument("--max-size", type=int, required=True)
     p.set_defaults(func=cmd_search)
 
@@ -86,19 +85,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except EfaParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InvariantViolation as exc:
         print(f"internal theorem-check failure: {exc}", file=sys.stderr)
         return 3
     except InvalidModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # EfaParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

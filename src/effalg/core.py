@@ -126,21 +126,17 @@ class FiniteEffectAlgebra:
         cls,
         size: int,
         one: int,
-        entries: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]],
+        entries: Mapping[tuple[int, int], int],
         labels: Iterable[str] | None = None,
         name: str = "",
     ) -> "FiniteEffectAlgebra":
-        """Build a table from (a, b, c) triples meaning a + b = c.
+        """Build a table from a mapping of pairs (a, b) to c, meaning a + b = c.
 
         Either orientation of a pair is accepted; conflicting values for the
         same unordered pair raise ``ValueError``.
         """
-        if isinstance(entries, Mapping):
-            items: Iterable[tuple[int, int, int]] = ((a, b, c) for (a, b), c in entries.items())
-        else:
-            items = entries
         rows: list[list[int | None]] = [[None] * size for _ in range(size)]
-        for a, b, c in items:
+        for (a, b), c in entries.items():
             if not (0 <= a < size and 0 <= b < size and 0 <= c < size):
                 raise ValueError(f"entry ({a},{b})={c} out of range for size {size}")
             prev = rows[a][b]

@@ -162,18 +162,14 @@ def _greedy_labeling(rows: Sequence[Sequence[int | None]]) -> tuple[list[int], l
     return pi, inv
 
 
-def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[int]] = (),
-                 relabel: bool = True
-                 ) -> tuple[bytes, FiniteEffectAlgebra] | tuple[bytes, list[int]]:
-    """Canonical form and the canonically relabeled model.
-
-    With ``relabel=False`` the second item is the least relabeling pi
-    itself, as a list, and no model is built: ``permute(alg, pi)`` is the
-    model, and the enumerator builds it once it knows its name.
+def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[int]] = ()
+                 ) -> tuple[bytes, list[int]]:
+    """Canonical form and the least relabeling pi that yields it.
 
     The form is the lexicographically least linearization over every
-    carrier permutation pi fixing 0, and the model is relabeled along the
-    least such pi (the first in ``itertools.permutations`` order).  The
+    carrier permutation pi fixing 0, and pi is the least such permutation
+    (the first in ``itertools.permutations`` order), as a list:
+    ``permute(alg, pi)`` is the canonically relabeled model.  The
     greedy labeling of ``_greedy_labeling`` gives the first bound ``best``,
     and a depth-first search hands out the new labels 1, 2, ..., n-1 in
     turn.  After label k it reads the relabeled table in linearization
@@ -195,11 +191,11 @@ def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[i
     ``automorphisms`` may hand over the automorphism group of ``alg``: each
     g as a tuple with ``alg`` mapped onto itself by a -> g[a].  It must be
     the whole group (the identity may be left out); a proper subgroup can
-    yield the wrong relabeled model.  The search then tries one element per
+    yield the wrong relabeling.  The search then tries one element per
     orbit of the automorphisms that fix every element labeled so far, since
-    g carries the subtrees of a and g[a] onto each other, and relabels along
-    the least pi o g over the group: the minimising permutations are exactly
-    one such coset.  The form and the model equal those found without it.
+    g carries the subtrees of a and g[a] onto each other, and returns the
+    least pi o g over the group: the minimising permutations are exactly
+    one such coset.  The form and pi equal those found without it.
 
     Carriers of more than 255 elements raise ``ValueError`` (see ``_linearize``).
     """
@@ -274,7 +270,7 @@ def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[i
         coset_pi = [base[x] for x in g]
         if coset_pi < best_pi:
             best_pi = coset_pi
-    return best, permute(alg, best_pi) if relabel else best_pi
+    return best, best_pi
 
 
 def canonical_form(alg: FiniteEffectAlgebra) -> bytes:
@@ -286,7 +282,7 @@ def canonical_form(alg: FiniteEffectAlgebra) -> bytes:
     reached), and ``even_subsets:6`` (32 elements) about 44 s, in CPU time
     on one core of a 2-vCPU VM.
     """
-    return canonicalize(alg, relabel=False)[0]
+    return canonicalize(alg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +472,7 @@ def _search_stratum(n: int, sigma: Sequence[int]
         # Every automorphism fixes 0 and 1 and commutes with sigma, so it is
         # in the centralizer; the relabelings tied to the end map the table
         # onto itself, so they are the whole group but the identity.
-        form, pi = canonicalize(leaf, automorphisms=[g[2][:n] for g in waiting[nfree]],
-                                relabel=False)
+        form, pi = canonicalize(leaf, automorphisms=[g[2][:n] for g in waiting[nfree]])
         found.append((form, (leaf, pi)))
 
     def dfs(i: int) -> None:

@@ -118,10 +118,7 @@ def horizontal_sum(left: FiniteEffectAlgebra, right: FiniteEffectAlgebra) -> Fin
     entries: dict[tuple[int, int], int] = {}
     for send, alg in ((send_l, left), (send_r, right)):
         for a, b, c in alg.defined_pairs():
-            x, y = send[a], send[b]
-            if x > y:
-                x, y = y, x
-            entries[(x, y)] = send[c]
+            entries[(send[a], send[b])] = send[c]
 
     labels = ["0"] + ["_"] * (n - 2) + ["1"]
     for send, alg, tag in ((send_l, left, "A"), (send_r, right, "B")):

@@ -312,16 +312,10 @@ def is_disjunctive(alg: FiniteEffectAlgebra) -> Decision:
     return Decision(True)
 
 
-class OrthoScan(NamedTuple):
-    orthocomplete: Decision
-    weakly_orthocomplete: Decision
-    systems_checked: int
-
-
 @per_model
-def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
-    """Decide both completeness verdicts from a certificate, and count the
-    orthogonal systems.
+def _ortho_scan(alg: FiniteEffectAlgebra) -> int:
+    """Check the certificate that decides both completeness verdicts, and
+    count the orthogonal systems.
 
     A multiset of nonzero elements is an orthogonal system iff its total
     sum is defined.  Infinite systems over a finite carrier only add copies
@@ -339,7 +333,7 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
     means the order was not derived from the table, and raises
     ``InvariantViolation`` naming the triple.
 
-    ``systems_checked`` counts the systems exactly, the empty one included.
+    The count returned is the number of systems, the empty one included.
     ``count[t]`` is the number of systems with every value >= m that extend
     the total t.  Running m down from n - 1, such a system has no m or
     takes one and goes on from t ⊕ m, so ``count[t] += count[t ⊕ m]``.
@@ -369,7 +363,7 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> OrthoScan:
             s = plus_m[t]
             if s is not None:
                 count[t] += count[s]
-    return OrthoScan(Decision(True), Decision(True), count[0])
+    return count[0]
 
 
 def is_orthocomplete(alg: FiniteEffectAlgebra) -> Decision:
@@ -378,7 +372,8 @@ def is_orthocomplete(alg: FiniteEffectAlgebra) -> Decision:
     Decided by the certificate of ``_ortho_scan``: the total of every system
     is the least upper bound of its partial sums.
     """
-    return _ortho_scan(alg).orthocomplete
+    _ortho_scan(alg)
+    return Decision(True)
 
 
 def is_weakly_orthocomplete(alg: FiniteEffectAlgebra) -> Decision:
@@ -387,23 +382,8 @@ def is_weakly_orthocomplete(alg: FiniteEffectAlgebra) -> Decision:
     Decided by the same certificate as ``is_orthocomplete``: every system
     has a sum.
     """
-    return _ortho_scan(alg).weakly_orthocomplete
-
-
-PROFILE_FLAGS = (
-    "orthoalgebra",
-    "omp",
-    "oml",
-    "lattice",
-    "archimedean",
-    "orthocomplete",
-    "weakly_orthocomplete",
-    "atomic",
-    "atomistic",
-    "orthoatomistic",
-    "orthoatomistic_sets",
-    "disjunctive",
-)
+    _ortho_scan(alg)
+    return Decision(True)
 
 
 class PropertyProfile(NamedTuple):
@@ -423,7 +403,10 @@ class PropertyProfile(NamedTuple):
     witnesses: Mapping[str, Any]
 
     def flags(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in PROFILE_FLAGS}
+        return dict(zip(PROFILE_FLAGS, self))
+
+
+PROFILE_FLAGS = PropertyProfile._fields[:-2]
 
 
 def profile(alg: FiniteEffectAlgebra) -> PropertyProfile:

@@ -37,17 +37,15 @@ def _violations_json(alg: FiniteEffectAlgebra, report: ValidationReport) -> list
 
 
 def _witness_json(alg: FiniteEffectAlgebra, value: Any) -> Any:
-    """Render witness payloads with labels; element indices become strings."""
-    if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
+    """Render a witness (None, bools, strings, element indices, and dicts,
+    lists or tuples of them) with labels; element indices become strings."""
+    if isinstance(value, (bool, str)) or value is None:
         return value
     if isinstance(value, int):
         return alg.label(value)
     if isinstance(value, dict):
         return {_key(alg, k): _witness_json(alg, v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_witness_json(alg, v) for v in items]
-    return str(value)
+    return [_witness_json(alg, v) for v in value]
 
 
 def _key(alg: FiniteEffectAlgebra, k: Any) -> str:

@@ -304,4 +304,4 @@ def test_criterion_9_orthogonal_scan_on_chain48():
             alg = ea.chain(k)
             prof = ea.profile(alg)
             assert prof.orthocomplete and prof.weakly_orthocomplete
-            assert _ortho_scan(alg).systems_checked == systems
+            assert _ortho_scan(alg) == systems

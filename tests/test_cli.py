@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import effalg as ea
-from effalg import enumeration, properties
+from effalg import enumeration, properties, theorems
 from effalg import report as report_mod
 from effalg.cli import cover_pairs, main
 from effalg.models import dumps
@@ -121,6 +121,32 @@ class TestExampleAndProps:
         doc = json.loads(out)
         assert doc["valid"] is False and doc["profile"] == {}
         jsonschema.validate(doc, report_mod.schema())
+
+    @pytest.mark.parametrize("maker, file, code, golden", [
+        (lambda: ea.boolean_algebra(3), "b3.efa", 0, "props_boolean3.txt"),
+        (lambda: ea.chain(3).with_entry(1, 2, None), "chain3_no_1_2.efa", 1,
+         "props_chain3_invalid.txt"),
+    ], ids=["boolean3", "chain3-invalid"])
+    def test_props_text_is_pinned(self, maker, file, code, golden, tmp_path, capsys,
+                                  monkeypatch, request):
+        # a relative file name, so that the model line reads the same anywhere
+        monkeypatch.chdir(tmp_path)
+        ea.save(maker(), file)
+        got, out, _ = run(capsys, "props", file)
+        assert got == code
+        assert out.encode("utf-8") == (request.path.parent / "golden" / golden).read_bytes()
+
+    def test_example_with_two_parameters_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.efa"
+        code, _, err = run(capsys, "example", "chain", "5", "6", "-o", str(path))
+        assert code == 2 and "takes one parameter" in err
+        assert not path.exists()
+
+    def test_example_takes_a_full_recipe(self, tmp_path, capsys):
+        path = tmp_path / "b3.efa"
+        code, out, _ = run(capsys, "example", "boolean:3", "-o", str(path))
+        assert code == 0 and "(boolean:3, 8 elements)" in out
+        assert ea.load(path) == ea.boolean_algebra(3)
 
     def test_round_trip_for_all_builtins(self, tmp_path, capsys):
         # every family, every parameter in range (large power sets included)
@@ -274,7 +300,42 @@ class TestEnumerateCommand:
         assert "thm_3_7_finite" in out
 
 
+    def test_verify_theorems_failure_is_reported_and_dumped(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # Every model is orthocomplete, so a false Archimedean verdict fails
+        # prop_2_8 everywhere and prop_2_6 on every orthoalgebra.
+        monkeypatch.setattr(theorems, "is_archimedean", lambda alg: False)
+        code, out, err = run(capsys, "enumerate", "--max-size", "4", "--verify-theorems",
+                             "--out", str(tmp_path))
+        assert code == 3
+        failed = err.splitlines()
+        assert "theorem check failed on enum:2:0 (order 2): prop_2_8" in failed
+        rows = {cells[0]: int(cells[-1]) for cells in map(str.split, out.splitlines())
+                if cells and cells[0] in theorems.CHECK_IDS}
+        assert rows == {cid: sum(line.endswith(f": {cid}") for line in failed)
+                        for cid in theorems.CHECK_IDS}
+        assert rows["prop_2_8"] == 5
+        dumped = sorted(tmp_path.glob("theorem_failure_enum_*.efa"))
+        assert len(dumped) == 5
+        for path in dumped:
+            size, i = map(int, path.stem.split("_")[-2:])
+            assert ea.load(path) == ea.enumerate_up_to_iso(size)[i]
+
+
 class TestSearchCommand:
+    @pytest.mark.parametrize("repeated, joined", [
+        (["--forbid", "lattice", "--forbid", "orthoalgebra"],
+         ["--forbid", "lattice", "orthoalgebra"]),
+        (["--require", "atomistic", "--require", "lattice", "--forbid", "orthoalgebra"],
+         ["--require", "atomistic", "lattice", "--forbid", "orthoalgebra"]),
+    ], ids=["forbid", "require"])
+    def test_repeated_option_adds_to_the_list(self, repeated, joined, capsys):
+        # each repetition adds its values; none replaces the ones before
+        first = run(capsys, "search", *repeated, "--max-size", "6")
+        second = run(capsys, "search", *joined, "--max-size", "6")
+        assert first[:2] == second[:2]
+
+
     def test_positive(self, capsys):
         code, out, _ = run(capsys, "search", "--require", "orthoatomistic",
                            "--forbid", "atomistic", "--max-size", "4")

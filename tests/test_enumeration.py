@@ -183,11 +183,11 @@ def record_leaves(monkeypatch, groups=None):
     leaves = []
     labelled = enumeration.canonicalize
 
-    def recorded(alg, *, automorphisms=(), relabel=True):
+    def recorded(alg, *, automorphisms=()):
         leaves.append(alg)
         if groups is not None:
             groups.append(automorphisms)
-        return labelled(alg, automorphisms=automorphisms, relabel=relabel)
+        return labelled(alg, automorphisms=automorphisms)
 
     monkeypatch.setattr(enumeration, "canonicalize", recorded)
     return leaves
@@ -274,7 +274,8 @@ def count_calls(run, names):
 
 
 def assert_labelled_as_brute_force(alg, automorphisms=()):
-    form, canon = ea.canonicalize(alg, automorphisms=automorphisms)
+    form, pi = ea.canonicalize(alg, automorphisms=automorphisms)
+    canon = ea.permute(alg, pi)
     ref_form, ref = brute_force_canonicalize(alg)
     assert form == ref_form, alg.name
     assert (canon.one, canon.table, canon.labels, canon.name) == \
@@ -492,7 +493,8 @@ class TestCanonicalForm:
         # callers may compare models directly
         for n in range(2, 7):
             for m in ea.enumerate_up_to_iso(n):
-                form, canon = ea.canonicalize(m)
+                form, pi = ea.canonicalize(m)
+                canon = ea.permute(m, pi)
                 assert (form, canon) == brute_force_canonicalize(m)
                 assert canon.size == m.size
                 assert ea.validate(canon).valid
@@ -553,7 +555,8 @@ class TestCanonicalForm:
             alg, conjugated = relabelled_with_group(b3, group, rng)
             ref_form, ref = brute_force_canonicalize(alg)
             for order in itertools.permutations(conjugated):
-                form, canon = ea.canonicalize(alg, automorphisms=order)
+                form, pi = ea.canonicalize(alg, automorphisms=order)
+                canon = ea.permute(alg, pi)
                 assert (form, canon.table, canon.labels) == (ref_form, ref.table, ref.labels)
 
     def test_first_bound_that_is_not_the_form(self, monkeypatch):
@@ -599,8 +602,10 @@ class TestCanonicalForm:
         calls = count_calls(lambda: ea.canonicalize(b4, automorphisms=group),
                             ("_linearize", "dfs"))
         assert calls == {"_linearize": 1, "dfs": 3_761}, calls
-        form, canon = ea.canonicalize(b4)
-        got_form, got = ea.canonicalize(b4, automorphisms=group)
+        form, pi = ea.canonicalize(b4)
+        canon = ea.permute(b4, pi)
+        got_form, got_pi = ea.canonicalize(b4, automorphisms=group)
+        got = ea.permute(b4, got_pi)
         assert (got_form, got.table, got.labels) == (form, canon.table, canon.labels)
 
     def test_permute_refuses_non_permutations(self):

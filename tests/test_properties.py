@@ -11,7 +11,7 @@ import effalg as ea
 from effalg import properties
 from effalg.core import InvariantViolation, ValidationReport, Violation, _bits
 from effalg.enumeration import SearchResult
-from effalg.properties import Classification, Decision, OrthoScan, PropertyProfile, _ortho_scan
+from effalg.properties import Classification, Decision, PropertyProfile, _ortho_scan
 from effalg.theorems import CheckResult, TheoremReport
 
 from conftest import bent_copies, even_subset_index, order_with_up
@@ -372,7 +372,7 @@ class TestOrthocompleteness:
 
     def test_scan_visits_every_orthogonal_multiset_on_chain(self):
         # partitions of 1..5 into parts, plus the empty system: 1+2+3+5+7+1
-        assert _ortho_scan(ea.chain(5)).systems_checked == 19
+        assert _ortho_scan(ea.chain(5)) == 19
 
     @pytest.mark.parametrize("k, expected", [
         (5, 19), (12, 272), (32, 43820), (48, 918220), (64, 12308139)])
@@ -385,7 +385,7 @@ class TestOrthocompleteness:
             for t in range(part, k + 1):
                 p[t] += p[t - part]
         assert sum(p) == expected
-        assert _ortho_scan(ea.chain(k)).systems_checked == expected
+        assert _ortho_scan(ea.chain(k)) == expected
 
     def test_boolean_system_count_is_a_bell_number(self):
         # On boolean:k a system is a family of disjoint nonempty subsets of
@@ -401,13 +401,12 @@ class TestOrthocompleteness:
             bell.append(row[0])
         assert bell[11] == 678570
         for k in range(1, 11):
-            assert _ortho_scan(ea.boolean_algebra(k)).systems_checked == bell[k + 1], k
+            assert _ortho_scan(ea.boolean_algebra(k)) == bell[k + 1], k
 
     def test_scan_matches_plain_walk(self, reference_corpus):
         for alg in reference_corpus:
-            scan = _ortho_scan(alg)
-            assert (scan.orthocomplete, scan.weakly_orthocomplete, scan.systems_checked) \
-                == _plain_ortho_scan(alg, ea.derive_order(alg)), alg
+            scan = (ea.is_orthocomplete(alg), ea.is_weakly_orthocomplete(alg), _ortho_scan(alg))
+            assert scan == _plain_ortho_scan(alg, ea.derive_order(alg)), alg
 
     @pytest.mark.parametrize("total, part", [
         (t, p) for t in range(2, 7) for p in range(1, t)])
@@ -466,7 +465,8 @@ class TestOrthocompleteness:
                         witnessed += not (oc.ok and woc.ok)
                     else:
                         assert oc.ok and woc.ok, alg
-                        assert scan == (oc, woc, count)
+                        verdicts = (ea.is_orthocomplete(model), ea.is_weakly_orthocomplete(model))
+                        assert (*verdicts, scan) == (oc, woc, count)
                         passed += relation != order
         assert rejected > 150 and witnessed > 100 and passed > 50
 
@@ -525,9 +525,6 @@ RECORD_REPRS = [
     (Classification(True, True, True, False, False, {}),
      "Classification(orthoalgebra=True, omp=True, omp_by_joins=True, lattice=False, "
      "oml=False, witnesses={})"),
-    (OrthoScan(Decision(True), Decision(False, (1,)), 3),
-     "OrthoScan(orthocomplete=Decision(ok=True, witness=None), "
-     "weakly_orthocomplete=Decision(ok=False, witness=(1,)), systems_checked=3)"),
     (PropertyProfile(*[True] * 12, atoms=(1,), witnesses={}),
      "PropertyProfile(orthoalgebra=True, omp=True, oml=True, lattice=True, "
      "archimedean=True, orthocomplete=True, weakly_orthocomplete=True, atomic=True, "
@@ -583,7 +580,7 @@ class TestResultRecords:
         copy = pickle.loads(pickle.dumps(even6))
         assert copy == even6
         records = {k: v for k, v in even6._memo.items() if isinstance(v, RECORDS)}
-        assert {"validate", "classify", "_ortho_scan", "is_orthoatomistic"} <= set(records)
+        assert {"validate", "classify", "is_orthoatomistic"} <= set(records)
         for key, value in records.items():
             assert type(copy._memo[key]) is type(value) and copy._memo[key] == value
 
