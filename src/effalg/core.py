@@ -288,8 +288,9 @@ class OrderRelation(NamedTuple):
 
     ``up[a]`` / ``down[a]`` are bitmasks of {b : a <= b} / {b : b <= a}.
     ``ominus[(b, a)]`` is the unique c with a + c = b, present exactly when
-    a <= b.  ``least`` and ``minimal`` answer every join, meet, minimal
-    bound, atom and cover: each takes a set of elements as a bitmask.
+    a <= b.  ``least``, ``greatest`` and ``minimal`` answer every join,
+    meet, minimal bound, atom and cover: each takes a set of elements as a
+    bitmask.
     """
 
     size: int
@@ -313,6 +314,14 @@ class OrderRelation(NamedTuple):
         for u in _bits(mask):
             if not mask & ~up[u]:
                 return u
+        return None
+
+    def greatest(self, mask: int) -> int | None:
+        """The g in ``mask`` above every element of ``mask``, or ``None``."""
+        down = self.down
+        for g in _bits(mask):
+            if not mask & ~down[g]:
+                return g
         return None
 
     def minimal(self, mask: int) -> Iterator[int]:
@@ -378,6 +387,52 @@ def derive_order(alg: FiniteEffectAlgebra) -> OrderRelation:
         raise InvariantViolation("difference domain does not match the order")
 
     return OrderRelation(n, tuple(up), tuple(down), tuple(supp), ominus)
+
+
+class OrderIndex(NamedTuple):
+    """Joins, meets and covers of a partial order, read off its masks.
+
+    In a partial order an up-set U has a least element u exactly when
+    U == ``up[u]``, and a down-set D a greatest element g exactly when
+    D == ``down[g]``; so ``least`` and ``greatest`` map masks back to
+    elements.  ``covers[s]`` lists the t with s ⋖ t, ascending.  ``up`` is
+    kept so that a reader can tell which order the index describes, and
+    ``minus`` is its ``ominus``, where a reader finds the c with a + c = s.
+    """
+
+    up: tuple[int, ...]
+    least: dict[int, int]
+    greatest: dict[int, int]
+    covers: tuple[tuple[int, ...], ...]
+    minus: Mapping[tuple[int, int], int]
+
+
+def index_order(order: OrderRelation) -> OrderIndex | None:
+    """The index of ``order``, or ``None`` unless ``up`` is reflexive,
+    antisymmetric and transitive and ``down`` is its transpose."""
+    up, down = order.up, order.down
+    n = len(up)
+    least = {mask: u for u, mask in enumerate(up)}
+    greatest = {mask: g for g, mask in enumerate(down)}
+    # given reflexivity and transitivity, a ≤ b ≤ a with a ≠ b makes
+    # up[a] == up[b]: antisymmetry is n distinct up-sets
+    if len(least) < n or len(greatest) < n:
+        return None
+    if sum(mask.bit_count() for mask in up) != sum(mask.bit_count() for mask in down):
+        return None
+    covers = []
+    for a, mask in enumerate(up):
+        if not mask >> a & 1 or not down[a] >> a & 1:
+            return None
+        strict = mask ^ 1 << a
+        cover = []
+        for b in _bits(strict):
+            if up[b] & ~mask or not down[b] >> a & 1:
+                return None
+            if down[b] & strict == 1 << b:
+                cover.append(b)
+        covers.append(tuple(cover))
+    return OrderIndex(up, least, greatest, tuple(covers), order.ominus)
 
 
 def is_orthogonal(alg: FiniteEffectAlgebra, a: int, b: int) -> bool:

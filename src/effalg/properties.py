@@ -24,17 +24,19 @@ Conventions adopted here:
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .core import (
     FiniteEffectAlgebra,
     InvariantViolation,
+    OrderIndex,
+    OrderRelation,
     _bits,
     _check_element,
     derive_order,
+    index_order,
     per_model,
     require_valid,
-    supremum,
 )
 
 
@@ -87,11 +89,26 @@ def is_principal(alg: FiniteEffectAlgebra, a: int) -> bool:
 
 
 @per_model
+def order_index(alg: FiniteEffectAlgebra) -> OrderIndex | None:
+    """``index_order`` of the order this module reads: ``None`` when that is
+    not a partial order, and then its readers scan for least and greatest
+    elements instead."""
+    return index_order(derive_order(alg))
+
+
+def _least(alg: FiniteEffectAlgebra, order: OrderRelation) -> Callable[[int], int | None]:
+    """The least element of an up-set mask, by lookup where the order is indexed."""
+    index = order_index(alg)
+    return order.least if index is None else index.least.get
+
+
+@per_model
 def pair_joins(alg: FiniteEffectAlgebra) -> tuple[int | None, ...]:
     """The supremum of {a, b} for every defined pair, in ``defined_pairs`` order."""
     order = derive_order(alg)
     up = order.up
-    return tuple(order.least(up[a] & up[b]) for a, b, _ in alg.defined_pairs())
+    least = _least(alg, order)
+    return tuple(least(up[a] & up[b]) for a, b, _ in alg.defined_pairs())
 
 
 @per_model
@@ -123,33 +140,42 @@ def classify(alg: FiniteEffectAlgebra) -> Classification:
     omp_by_joins = all(
         join == c for (_, _, c), join in zip(alg.defined_pairs(), pair_joins(alg)))
 
-    # a ∧ b exists iff a′ ∨ b′ does: the supplement reverses the order.  It
-    # is also an involution, so the pairs (a, b) and (a′, b′) ask for the
-    # same two joins.  When (a′, b′) came first, the scan got past it, so
-    # both joins exist and (a, b) passes without finding them again.
-    up, least, supp = order.up, order.least, order.supplement
-    lattice = True
-    for a in range(n):
-        for b in range(a + 1, n):
-            x, y = (supp[a], supp[b]) if supp[a] < supp[b] else (supp[b], supp[a])
-            if (x, y) < (a, b):
-                continue
-            if least(up[a] & up[b]) is None:
-                lattice = False
-                witnesses["lattice"] = {
-                    "kind": "no_supremum",
-                    "pair": (a, b),
-                    "minimal_upper_bounds": list(order.minimal(up[a] & up[b])),
-                }
-                break
-            if (x, y) != (a, b) and least(up[x] & up[y]) is None:
-                lattice = False
-                witnesses["lattice"] = {"kind": "no_infimum", "pair": (a, b)}
-                break
-        if not lattice:
-            break
+    # a ∧ b exists iff a′ ∨ b′ does: the supplement reverses the order.
+    # It is also a bijection, so the meets ask for the same joins as the
+    # pairs: the model is a lattice iff every pair has a join.  Only when
+    # one has none is the first pair without a join or a meet looked for.
+    index = order_index(alg)
+    has_least = (index.least.__contains__ if index is not None
+                 else lambda mask: order.least(mask) is not None)
+    up = order.up
+    lattice = all(all(map(has_least, map(ua.__and__, up[a + 1:]))) for a, ua in enumerate(up))
+    if not lattice:
+        co_up = [up[x] for x in order.supplement]
+        a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                    if not (has_least(up[a] & up[b]) and has_least(co_up[a] & co_up[b])))
+        if has_least(up[a] & up[b]):
+            witnesses["lattice"] = {"kind": "no_infimum", "pair": (a, b)}
+        else:
+            witnesses["lattice"] = {"kind": "no_supremum", "pair": (a, b),
+                                    "minimal_upper_bounds": list(order.minimal(up[a] & up[b]))}
 
     return Classification(orthoalgebra, omp, omp_by_joins, lattice, omp and lattice, witnesses)
+
+
+def lattice_by_meets(alg: FiniteEffectAlgebra) -> bool:
+    """Every pair has a greatest lower bound, read from ``down`` directly.
+
+    A finite bounded poset in which every pair has a meet is a lattice, so
+    this decides ``classify``'s ``lattice`` without its joins and without
+    the supplement; ``profile`` compares the two routes.
+    """
+    order = derive_order(alg)
+    index = order_index(alg)
+    has_greatest = (index.greatest.__contains__ if index is not None
+                    else lambda mask: order.greatest(mask) is not None)
+    down = order.down
+    return all(all(map(has_greatest, map(d.__and__, down[i + 1:])))
+               for i, d in enumerate(down))
 
 
 def isotropic_index(alg: FiniteEffectAlgebra, a: int) -> int | float:
@@ -195,8 +221,17 @@ def is_atomic(alg: FiniteEffectAlgebra) -> bool:
 @per_model
 def is_atomistic(alg: FiniteEffectAlgebra) -> Decision:
     """Every nonzero element is the supremum of the atoms below it."""
+    order = derive_order(alg)
+    up = order.up
+    least = _least(alg, order)
+    ats = atoms(alg)
+    full = (1 << alg.size) - 1
     for a in range(1, alg.size):
-        if supremum(alg, atoms_below(alg, a)) != a:
+        bound = full
+        for t in ats:
+            if up[t] >> a & 1:
+                bound &= up[t]
+        if least(bound) != a:
             return Decision(False, a)
     return Decision(True)
 
@@ -462,6 +497,7 @@ def _enforce_profile_invariants(alg: FiniteEffectAlgebra, p: PropertyProfile) ->
     check(not p.omp or p.orthoalgebra, "every orthomodular poset is an orthoalgebra")
     check(not (p.omp and p.orthoatomistic) or p.atomistic,
           "an orthoatomistic orthomodular poset is atomistic")
+    check(p.lattice == lattice_by_meets(alg), "lattice by joins iff lattice by meets")
     check(p.omp == classify(alg).omp_by_joins,
           "all elements principal iff ⊕ is the join of every orthogonal pair")
     indices_one = all(k == 1 for k in isotropic_indices(alg)[1:])
@@ -469,6 +505,9 @@ def _enforce_profile_invariants(alg: FiniteEffectAlgebra, p: PropertyProfile) ->
           "orthoalgebra iff every nonzero isotropic index is 1")
     check(p.atomistic == (p.atomic and p.disjunctive),
           "atomistic iff atomic and disjunctive")
+    # a ⊕ a is defined only for a = 0 in an orthoalgebra, so no atom repeats
+    check(not p.orthoalgebra or p.orthoatomistic_sets == p.orthoatomistic,
+          "in an orthoalgebra a sum of atoms repeats none")
     # Finite-carrier theorems, each decided by its real procedure above.
     check(p.archimedean, "finite models are Archimedean")
     check(p.atomic, "finite models are atomic")

@@ -8,7 +8,6 @@ The schema shipped at ``data/report.schema.json`` pins the layout.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from .core import FiniteEffectAlgebra, ValidationReport, validate
@@ -20,6 +19,7 @@ def schema() -> dict:
     # imported here: from Python 3.12 on, importlib.resources loads inspect,
     # and no command reads the schema
     import importlib.resources
+    import json
 
     data = importlib.resources.files("effalg").joinpath("data/report.schema.json")
     return json.loads(data.read_text(encoding="utf-8"))
@@ -89,4 +89,6 @@ def build_report(alg: FiniteEffectAlgebra) -> dict:
 
 
 def dumps_report(doc: dict) -> str:
+    import json  # here, so that only the commands that print JSON load it
+
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"

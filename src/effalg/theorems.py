@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .core import FiniteEffectAlgebra, _bits, derive_order
+from .core import FiniteEffectAlgebra, OrderIndex, _bits, derive_order
 from .enumeration import enumerate_up_to_iso
 from .properties import (
     classify,
@@ -25,6 +25,7 @@ from .properties import (
     is_orthocomplete,
     is_weakly_orthocomplete,
     isotropic_indices,
+    order_index,
     pair_joins,
 )
 
@@ -74,32 +75,73 @@ def _biconditional(lhs: bool, rhs: bool, witness: Any) -> CheckResult:
     return CheckResult(PASS) if lhs == rhs else CheckResult(FAIL, witness)
 
 
-def _cancellation(alg: FiniteEffectAlgebra, up: tuple[int, ...]) -> CheckResult:
+def _cancellation(alg: FiniteEffectAlgebra, up: tuple[int, ...],
+                  index: OrderIndex | None = None) -> CheckResult:
     """a⊕b <= a⊕c implies b <= c, over all a, b, c with both sums defined.
 
-    ``with_sum[s]`` is the mask of the c with a⊕c = s: the map c -> a⊕c is
-    not assumed injective, so this reads only the table and ``up`` and
-    also runs on a table that breaks the law.  The first failing c for
-    (a, b) is the lowest partner with a⊕c above a⊕b and c not above b.
+    Row by row.  When ``index`` indexes ``up`` itself and the map
+    c -> a⊕c is injective with image ``up[a]``, any a⊕b <= a⊕c is joined by
+    covers inside ``up[a]``, each with a preimage, so the law holds for a
+    iff the preimages of every cover s ⋖ t are ordered.  The preimages are
+    read from ``index.minus`` and each is checked against the row.  Any
+    other row, and a row whose covers fail, goes to ``_cancellation_row``.
     """
-    lab = alg.label
+    covers = index.covers if index is not None and index.up == up else None
+    if covers is not None:
+        preimages: list[dict[int, int]] = [{} for _ in up]
+        for (s, a), c in index.minus.items():
+            preimages[a][s] = c
     for a, row in enumerate(alg.table):
-        with_sum: dict[int, int] = {}
-        for c, ac in enumerate(row):
-            if ac is not None:
-                with_sum[ac] = with_sum.get(ac, 0) | 1 << c
-        sums = sum(1 << s for s in with_sum)
-        for b, ab in enumerate(row):
-            if ab is None:
+        if covers is not None:
+            image, pre = up[a], preimages[a]
+            # len(pre) distinct cells of the row hold the len(pre) elements
+            # of up[a], and no other cell is defined
+            if (len(row) - row.count(None) == len(pre) == image.bit_count()
+                    and all(image >> s & 1 and row[c] == s for s, c in pre.items())
+                    and _ordered_along_covers(pre, up, covers)):
                 continue
-            failing = 0
-            for s in _bits(up[ab] & sums):
-                failing |= with_sum[s]
-            failing &= ~up[b]
-            if failing:
-                c = (failing & -failing).bit_length() - 1
-                return CheckResult(FAIL, {"a": lab(a), "b": lab(b), "c": lab(c)})
+        witness = _cancellation_row(alg, a, row, up)
+        if witness is not None:
+            return CheckResult(FAIL, witness)
     return CheckResult(PASS)
+
+
+def _ordered_along_covers(pre: dict[int, int], up: tuple[int, ...],
+                          covers: tuple[tuple[int, ...], ...]) -> bool:
+    """pre[s] <= pre[t] for every s in ``pre`` and every cover t of s."""
+    for s, c in pre.items():
+        above = up[c]
+        for t in covers[s]:
+            if not above >> pre[t] & 1:
+                return False
+    return True
+
+
+def _cancellation_row(alg: FiniteEffectAlgebra, a: int, row: tuple[int | None, ...],
+                      up: tuple[int, ...]) -> dict[str, str] | None:
+    """The first failing (b, c) of row a, scanned from the table and ``up``.
+
+    ``with_sum[s]`` is the mask of the c with a⊕c = s: the map c -> a⊕c is
+    not assumed injective, so this also runs on a table that breaks the
+    law.  The first failing c for (a, b) is the lowest partner with a⊕c
+    above a⊕b and c not above b.
+    """
+    with_sum: dict[int, int] = {}
+    for c, ac in enumerate(row):
+        if ac is not None:
+            with_sum[ac] = with_sum.get(ac, 0) | 1 << c
+    sums = sum(1 << s for s in with_sum)
+    for b, ab in enumerate(row):
+        if ab is None:
+            continue
+        failing = 0
+        for s in _bits(up[ab] & sums):
+            failing |= with_sum[s]
+        failing &= ~up[b]
+        if failing:
+            c = (failing & -failing).bit_length() - 1
+            return {"a": alg.label(a), "b": alg.label(b), "c": alg.label(c)}
+    return None
 
 
 def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
@@ -110,7 +152,7 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
     lab = alg.label
     results: dict[str, CheckResult] = {}
 
-    results["cancellation"] = _cancellation(alg, order.up)
+    results["cancellation"] = _cancellation(alg, order.up, order_index(alg))
 
     sup_le: CheckResult | None = None
     for (a, b, c), s in zip(alg.defined_pairs(), pair_joins(alg)):
@@ -195,9 +237,10 @@ def run_exhaustive(max_size: int, models: Iterable[FiniteEffectAlgebra] | None =
     """Run every check on every effect algebra of order <= max_size.
 
     A failing model is recorded with its check id and witness and, when
-    ``dump_dir`` is given, written out as an .efa file.  ``models`` must come
-    from ``enumerate_up_to_iso``, whose models are their own canonical
-    representatives, so ``duplicate_forms`` counts repeated models.
+    ``dump_dir`` is given, written out as an .efa file of its own, named
+    after the model.  ``models`` must come from ``enumerate_up_to_iso``,
+    whose models are their own canonical representatives, so
+    ``duplicate_forms`` counts repeated models.
     """
     summary = ExhaustiveSummary(max_size=max_size)
     tallies = {cid: {PASS: 0, VACUOUS: 0, FAIL: 0} for cid in CHECK_IDS}
@@ -205,6 +248,7 @@ def run_exhaustive(max_size: int, models: Iterable[FiniteEffectAlgebra] | None =
         models = (m for size in range(2, max_size + 1)
                   for m in enumerate_up_to_iso(size))
     seen: set[FiniteEffectAlgebra] = set()
+    dumped: set[str] = set()
     for model in models:
         if model in seen:
             summary.duplicate_forms += 1
@@ -222,8 +266,15 @@ def run_exhaustive(max_size: int, models: Iterable[FiniteEffectAlgebra] | None =
 
             from .models import save
 
+            # models may share a name or have none: a repeat gets _2, _3, ...
+            stem = f"theorem_failure_{model.name.replace(':', '_')}"
+            file_name, k = f"{stem}.efa", 1
+            while file_name in dumped:
+                k += 1
+                file_name = f"{stem}_{k}.efa"
+            dumped.add(file_name)
             target = Path(dump_dir)
             target.mkdir(parents=True, exist_ok=True)
-            save(model, target / f"theorem_failure_{model.name.replace(':', '_')}.efa")
+            save(model, target / file_name)
     summary.tallies = tallies
     return summary

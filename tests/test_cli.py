@@ -498,3 +498,5 @@ class TestImportContract:
         # models, orders and records are built without dataclasses, whose
         # import pulls in inspect, ast and dis
         assert not {"dataclasses", "inspect"} & loaded
+        # json is loaded only by the commands that read or print it
+        assert "json" not in loaded

@@ -9,7 +9,7 @@ import pytest
 
 import effalg as ea
 from effalg import properties
-from effalg.core import InvariantViolation, ValidationReport, Violation, _bits
+from effalg.core import InvariantViolation, ValidationReport, Violation, _bits, index_order
 from effalg.enumeration import SearchResult
 from effalg.properties import Classification, Decision, PropertyProfile, _ortho_scan
 from effalg.theorems import CheckResult, TheoremReport
@@ -233,6 +233,86 @@ class TestClassify:
 
     def test_even2_is_two_element_algebra(self):
         assert ea.even_subset_omp(2).size == 2
+
+
+def _is_partial_order(order):
+    """Reflexive, antisymmetric and transitive, with ``down`` the transpose of ``up``."""
+    n = order.size
+    le = order.le
+    return (all(le(a, a) for a in range(n))
+            and not any(a != b and le(a, b) and le(b, a) for a in range(n) for b in range(n))
+            and all(le(a, c) for a in range(n) for b in range(n) for c in range(n)
+                    if le(a, b) and le(b, c))
+            and all(bool(order.down[b] >> a & 1) == le(a, b)
+                    for a in range(n) for b in range(n)))
+
+
+def _covers_by_definition(order):
+    n = order.size
+    le = order.le
+    return tuple(
+        tuple(t for t in range(n) if t != s and le(s, t)
+              and not any(u not in (s, t) and le(s, u) and le(u, t) for u in range(n)))
+        for s in range(n))
+
+
+def _meets_by_definition(order):
+    """Every pair has a greatest lower bound, read from ``le`` alone."""
+    n = order.size
+    le = order.le
+    for a in range(n):
+        for b in range(a + 1, n):
+            lower = [x for x in range(n) if le(x, a) and le(x, b)]
+            if not any(all(le(y, g) for y in lower) for g in lower):
+                return False
+    return True
+
+
+class TestOrderIndex:
+    def test_index_reads_joins_meets_and_covers(self, reference_corpus):
+        for alg in reference_corpus:
+            order = ea.derive_order(alg)
+            index = index_order(order)
+            assert index is not None and index.up is order.up
+            assert index.covers == _covers_by_definition(order), alg.name
+            up, down = order.up, order.down
+            for a in range(alg.size):
+                for b in range(a + 1, alg.size):
+                    assert index.least.get(up[a] & up[b]) == order.least(up[a] & up[b])
+                    assert index.greatest.get(down[a] & down[b]) \
+                        == order.greatest(down[a] & down[b])
+
+    def test_only_partial_orders_are_indexed(self, reference_corpus):
+        indexed = set()
+        for alg in reference_corpus:
+            for _, bent in bent_copies(alg):
+                assert (index_order(bent) is not None) == _is_partial_order(bent), alg.name
+                indexed.add(index_order(bent) is not None)
+        assert indexed == {True, False}
+        # a partial order whose down-sets were left as they were
+        order = ea.derive_order(ea.chain(3))
+        assert index_order(order._replace(up=(order.up[0], order.up[1] & ~0b100,
+                                              *order.up[2:]))) is None
+
+    def test_lattice_by_meets_matches_definition(self, reference_corpus, even6_meetless_first):
+        verdicts = set()
+        for alg in reference_corpus + [even6_meetless_first]:
+            verdict = properties.lattice_by_meets(alg)
+            assert verdict == _meets_by_definition(ea.derive_order(alg)) == ea.classify(alg).lattice
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_lattice_by_meets_matches_definition_on_bent_orders(self, reference_corpus,
+                                                                monkeypatch):
+        seen = set()
+        for alg in reference_corpus:
+            for model, bent in bent_copies(alg):
+                monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
+                verdict = properties.lattice_by_meets(model)
+                assert verdict == _meets_by_definition(bent), alg.name
+                seen.add((verdict, properties.order_index(model) is not None))
+        # both verdicts, from the index and from the scan
+        assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
 
 class TestIsotropicIndex:

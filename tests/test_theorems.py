@@ -5,7 +5,9 @@ import random
 import pytest
 
 import effalg as ea
-from effalg import theorems
+from effalg import core, properties, theorems
+from effalg.core import index_order
+from effalg.properties import Decision
 from effalg.theorems import (
     CHECK_IDS, FAIL, PASS, VACUOUS, CheckResult, _cancellation, run_all, run_exhaustive)
 
@@ -105,6 +107,50 @@ class TestRunAll:
                 statuses.add(result.status)
         assert statuses == {PASS, FAIL}
 
+    def test_cover_pass_matches_definition_on_bent_orders(self, reference_corpus):
+        # the bent order's own index: a row whose image is still up[a] is
+        # decided along the bent covers, and a failing cover sends the row
+        # to the scan for its first witness
+        along_covers = 0
+        for alg in reference_corpus:
+            for model, bent in bent_copies(alg):
+                index = index_order(bent)
+                result = _cancellation(model, bent.up, index)
+                assert result == _cancellation_by_definition(model, bent), alg.name
+                along_covers += index is not None and result.status == FAIL
+        assert along_covers > 20
+
+    def test_cover_pass_matches_definition_on_broken_tables(self, reference_corpus):
+        # with the index of the real order, a row of a broken table that is
+        # not injective or whose image is not up[a] must go to the scan
+        rng = random.Random(5)
+        statuses = set()
+        for alg in reference_corpus:
+            order = ea.derive_order(alg)
+            index = index_order(order)
+            for _ in range(4):
+                a, b, v = (rng.randrange(alg.size) for _ in range(3))
+                broken = alg.with_entry(a, b, v)
+                result = _cancellation(broken, order.up, index)
+                assert result == _cancellation_by_definition(broken, order), alg.name
+                statuses.add(result.status)
+        assert statuses == {PASS, FAIL}
+
+    def test_fast_paths_decide_without_falling_back(self, reference_corpus, monkeypatch):
+        # every row of a valid model passes along covers, and every least or
+        # greatest element is a lookup in the order index
+        expected = [(ea.profile(alg), run_all(alg)) for alg in reference_corpus]
+
+        def fallback(*args):
+            raise AssertionError("a fast path fell back to its scan")
+
+        monkeypatch.setattr(theorems, "_cancellation_row", fallback)
+        monkeypatch.setattr(core.OrderRelation, "least", fallback)
+        monkeypatch.setattr(core.OrderRelation, "greatest", fallback)
+        for alg, (prof, report) in zip(reference_corpus, expected):
+            fresh = alg._replace()
+            assert (ea.profile(fresh), run_all(fresh)) == (prof, report)
+
     def test_invalid_model_rejected(self):
         broken = ea.chain(3).with_entry(1, 2, None)  # 1 loses its supplement
         with pytest.raises(ea.InvalidModelError):
@@ -138,8 +184,97 @@ class TestRunExhaustive:
             assert t[cid][FAIL] == 0
             assert t[cid][PASS] + t[cid][VACUOUS] == 9
 
+    def test_every_failing_model_gets_its_own_dump_file(self, tmp_path, monkeypatch):
+        # unnamed models used to overwrite one another in theorem_failure_.efa
+        monkeypatch.setattr(theorems, "is_archimedean", lambda alg: False)
+        models = [ea.chain(2)._replace(name=""), ea.chain(3)._replace(name=""),
+                  ea.boolean_algebra(2)._replace(name="")]
+        summary = run_exhaustive(4, models=models, dump_dir=str(tmp_path))
+        assert len(summary.failures) == 4
+        dumped = sorted(tmp_path.iterdir())
+        assert [path.name for path in dumped] == [
+            "theorem_failure_.efa", "theorem_failure__2.efa", "theorem_failure__3.efa"]
+        assert [ea.load(path) for path in dumped] == models
+
     def test_text_table_renders(self):
         summary = run_exhaustive(4)
         text = summary.text_table()
         assert "failures: 0" in text
         assert "thm_3_7_finite" in text
+
+
+
+CLASSIFY = properties.classify
+
+
+def _negated(decider):
+    def negated(alg):
+        verdict = decider(alg)
+        return verdict._replace(ok=not verdict.ok) if isinstance(verdict, Decision) else not verdict
+    return negated
+
+
+def _negated_field(field):
+    # classify derives oml from omp and lattice, so a wrong omp or lattice
+    # verdict comes with the oml derived from it
+    def negated(alg):
+        cls = CLASSIFY(alg)
+        cls = cls._replace(**{field: not getattr(cls, field)})
+        return cls if field == "oml" else cls._replace(oml=cls.omp and cls.lattice)
+    return negated
+
+
+# What each negated decider or classify field makes fail over the classes
+# of orders 2-8: the run_all checks, and the profile invariants (the first
+# one to fail on each model).  No check reads the orthoatomistic-by-sets
+# flag, every finite model is orthocomplete, and lattice and oml are read
+# by no statement whose other side can fail, so only invariants catch those.
+MUTATION_AUDIT = {
+    "is_archimedean": ({"prop_2_6", "prop_2_8"}, {"finite models are Archimedean"}),
+    "is_atomic": ({"thm_3_2"},
+                  {"atomistic implies atomic", "orthoatomistic implies atomic"}),
+    "is_atomistic": ({"orthoatomistic_omp_implies_atomistic", "thm_3_2"},
+                     {"an orthoatomistic orthomodular poset is atomistic",
+                      "atomistic iff atomic and disjunctive"}),
+    "is_disjunctive": ({"thm_3_2"}, {"atomistic iff atomic and disjunctive"}),
+    "is_orthoatomistic": ({"thm_3_7_finite"},
+                          {"finite models are orthoatomistic",
+                           "in an orthoalgebra a sum of atoms repeats none"}),
+    "is_orthoatomistic_sets": (set(), {"in an orthoalgebra a sum of atoms repeats none"}),
+    "is_orthocomplete": (set(), {"finite models are orthocomplete"}),
+    "is_weakly_orthocomplete": ({"prop_3_3"}, {"finite models are weakly orthocomplete"}),
+    "orthoalgebra": ({"omp_implies_orthoalgebra", "orthoalgebra_iff_index1",
+                      "self_orthogonal_zero"},
+                     {"every orthomodular poset is an orthoalgebra",
+                      "orthoalgebra iff every nonzero isotropic index is 1"}),
+    "omp": ({"omp_iff_principal_iff_join", "omp_implies_orthoalgebra",
+             "orthoatomistic_omp_implies_atomistic"},
+            {"all elements principal iff ⊕ is the join of every orthogonal pair",
+             "every orthomodular poset is an orthoalgebra"}),
+    "omp_by_joins": ({"omp_iff_principal_iff_join"},
+                     {"all elements principal iff ⊕ is the join of every orthogonal pair"}),
+    "lattice": (set(), {"lattice by joins iff lattice by meets"}),
+    "oml": (set(), {"oml = omp and lattice"}),
+}
+
+
+@pytest.fixture(scope="module")
+def classes_up_to_8():
+    return [m for n in range(2, 9) for m in ea.enumerate_up_to_iso(n)]
+
+
+@pytest.mark.parametrize("target", MUTATION_AUDIT)
+def test_mutation_audit(target, classes_up_to_8, monkeypatch):
+    name, mutant = ((target, _negated(getattr(properties, target))) if target.startswith("is_")
+                    else ("classify", _negated_field(target)))
+    for module in (properties, theorems):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, mutant)
+    checks, laws = set(), set()
+    for alg in classes_up_to_8:
+        checks.update(run_all(alg).failed)
+        try:
+            ea.profile(alg)
+        except ea.InvariantViolation as err:
+            laws.add(str(err).rsplit(" failed on ", 1)[0])
+    assert (checks, laws) == MUTATION_AUDIT[target]
