@@ -4,14 +4,18 @@ Exit codes: 0 success; 1 invalid model (check/props) or unsatisfied search
 constraint; 2 I/O, parse or usage errors; 3 a theorem-level check failed
 (a defect in the deciders or enumerator, kept distinct so CI can tell
 math problems from plumbing problems).
+
+One table, ``COMMANDS``, holds the grammar.  ``_parse_plain`` parses plain
+invocations from it without argparse; help, usage errors and every other form
+fall back to the argparse parser that ``_build_parser`` builds from it.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import models, report
 from .core import FiniteEffectAlgebra, InvalidModelError, InvariantViolation, derive_order, validate
@@ -24,65 +28,98 @@ WITNESS_NAMES = ("ex34", "ex36-meet", "ex36-sup", "ex38", "ex39")
 ENUMERATE_PLAIN_LIMIT = 6  # orders 7..10 take up to about 1 s of CPU time; they sit behind --big
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # here: plain invocations are parsed by _parse_plain, without it
+
     parser = argparse.ArgumentParser(
         prog="effalg",
         description="finite effect algebras: validation, properties, enumeration, witnesses")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate the axioms of an .efa file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("props", help="decide every structural property of a model")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="emit the JSON report")
-    p.set_defaults(func=cmd_props)
-
-    p = sub.add_parser("hasse", help="export the order diagram (cover relation) as DOT")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_hasse)
-
-    p = sub.add_parser("example", help="write a built-in model to an .efa file")
-    p.add_argument("name", help="family name or full recipe, e.g. chain, boolean:3")
-    p.add_argument("params", nargs="*", help="family parameters (e.g. 5, or operand recipes)")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_example)
-
-    p = sub.add_parser("enumerate", help="generate all models up to isomorphism")
-    p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--out", help="directory for the generated .efa files")
-    p.add_argument("--verify-theorems", action="store_true")
-    p.add_argument("--big", action="store_true",
-                   help=f"allow orders above {ENUMERATE_PLAIN_LIMIT} "
-                        f"(up to about 1 s of CPU time, at order {ENUMERATION_CAP})")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("search", help="hunt for a model with a property profile")
-    p.add_argument("--require", nargs="+", action="extend", default=[], metavar="PROP")
-    p.add_argument("--forbid", nargs="+", action="extend", default=[], metavar="PROP")
-    p.add_argument("--max-size", type=int, required=True)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("witness", help="run an infinite-family claim checker")
-    p.add_argument("name", choices=WITNESS_NAMES)
-    p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--candidates", type=int, default=100)
-    p.add_argument("--seed", type=int, default=20250809)
-    p.add_argument("--target", type=int, default=5, help="ex38: which primed element to certify")
-    p.add_argument("--json", action="store_true", help="emit the JSON report")
-    p.set_defaults(func=cmd_witness)
-
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``_build_parser().parse_args(argv)`` returns, for a command,
+    option strings spelled in full, non-empty values with no space and no leading
+    "-", and one contiguous run of positionals; None for any other form (help,
+    abbreviations, ``--opt=value``, ``--``, invalid or missing values)."""
+    if not argv or argv[0] not in COMMANDS or any(not t or " " in t for t in argv):
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    options, positionals, required = {}, [], set()
+    for flags, kw in arguments:
+        if not flags[0].startswith("-"):
+            positionals.append((flags[0], kw))
+            continue
+        dest = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        values[dest] = kw.get("default", False if kw.get("action") == "store_true" else None)
+        options.update(dict.fromkeys(flags, (dest, kw)))
+        if kw.get("required"):
+            required.add(dest)
+    run, closed, i = [], False, 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            if closed:  # argparse fills positionals from the first run only
+                return None
+            run.append(token)
+            continue
+        if token not in options:
+            return None
+        closed = bool(run)
+        dest, kw = options[token]
+        required.discard(dest)
+        if kw.get("action") == "store_true":
+            values[dest] = True
+            continue
+        end = i + 1
+        if kw.get("nargs") == "+":  # every value up to the next option
+            while end < len(argv) and not argv[end].startswith("-"):
+                end += 1
+        got = _convert(kw, argv[i:end])
+        if not got or argv[i].startswith("-"):
+            return None
+        values[dest] = values[dest] + got if kw.get("nargs") else got[0]
+        i = end
+    star = bool(positionals) and positionals[-1][1].get("nargs") == "*"
+    fixed = len(positionals) - star
+    if required or len(run) < fixed or (len(run) > fixed and not star):
+        return None
+    for j, (dest, kw) in enumerate(positionals):
+        got = _convert(kw, run[j:] if j == fixed else run[j:j + 1])
+        if got is None:
+            return None
+        values[dest] = got if j == fixed else got[0]
+    return SimpleNamespace(**values)
+
+
+def _convert(kw: dict, tokens: list[str]) -> list | None:
+    """The tokens converted by type and checked by choices; None where argparse rejects one."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        got = [kw.get("type", str)(t) for t in tokens]
+    except ValueError:
+        return None
+    choices = kw.get("choices")
+    return None if choices is not None and any(g not in choices for g in got) else got
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except InvariantViolation as exc:
@@ -369,6 +406,43 @@ def _witness_ex39(depth: int, text: bool) -> tuple[int, dict]:
         return 3, payload
     return 0, payload
 
+
+# ---------------------------------------------------------------------------
+# The command grammar, read by _build_parser and _parse_plain:
+# name -> (help, handler, ((flags, add_argument keywords), ...)).
+
+COMMANDS = {
+    "check": ("validate the axioms of an .efa file", cmd_check, ((("file",), {}),)),
+    "props": ("decide every structural property of a model", cmd_props, (
+        (("file",), {}),
+        (("--json",), {"action": "store_true", "help": "emit the JSON report"}))),
+    "hasse": ("export the order diagram (cover relation) as DOT", cmd_hasse, (
+        (("file",), {}),
+        (("-o", "--output"), {"required": True}))),
+    "example": ("write a built-in model to an .efa file", cmd_example, (
+        (("name",), {"help": "family name or full recipe, e.g. chain, boolean:3"}),
+        (("params",), {"nargs": "*", "help": "family parameters (e.g. 5, or operand recipes)"}),
+        (("-o", "--output"), {"required": True}))),
+    "enumerate": ("generate all models up to isomorphism", cmd_enumerate, (
+        (("--max-size",), {"type": int, "required": True}),
+        (("--out",), {"help": "directory for the generated .efa files"}),
+        (("--verify-theorems",), {"action": "store_true"}),
+        (("--big",), {"action": "store_true",
+                      "help": f"allow orders above {ENUMERATE_PLAIN_LIMIT} "
+                              f"(up to about 1 s of CPU time, at order {ENUMERATION_CAP})"}))),
+    "search": ("hunt for a model with a property profile", cmd_search, (
+        (("--require",), {"nargs": "+", "action": "extend", "default": [], "metavar": "PROP"}),
+        (("--forbid",), {"nargs": "+", "action": "extend", "default": [], "metavar": "PROP"}),
+        (("--max-size",), {"type": int, "required": True}))),
+    "witness": ("run an infinite-family claim checker", cmd_witness, (
+        (("name",), {"choices": WITNESS_NAMES}),
+        (("--depth",), {"type": int, "default": 20}),
+        (("--candidates",), {"type": int, "default": 100}),
+        (("--seed",), {"type": int, "default": 20250809}),
+        (("--target",), {"type": int, "default": 5,
+                         "help": "ex38: which primed element to certify"}),
+        (("--json",), {"action": "store_true", "help": "emit the JSON report"}))),
+}
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

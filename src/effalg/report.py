@@ -88,7 +88,38 @@ def build_report(alg: FiniteEffectAlgebra) -> dict:
     return doc
 
 
-def dumps_report(doc: dict) -> str:
-    import json  # here, so that only the commands that print JSON load it
+# json.dumps's escapes (ensure_ascii=False): short forms, else \u00xx; the rest is raw
+_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)}
+_ESCAPES.update((ord(c), "\\" + e) for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf'))
 
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+def dumps_report(doc: dict) -> str:
+    """``json.dumps(doc, ensure_ascii=False, indent=2) + "\\n"``, for the types
+    reports hold: dicts with str keys, lists, tuples, str, bool, None, int."""
+    return _dumps(doc, "\n") + "\n"
+
+
+def _dumps(value: Any, newline: str) -> str:
+    # `newline` is a line break and the indent of the line that opens `value`
+    if isinstance(value, str):
+        if '"' in value or "\\" in value or not value.isprintable():
+            value = value.translate(_ESCAPES)
+        return f'"{value}"'
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if any(not isinstance(k, str) for k in value):
+            raise TypeError("report keys must be str")
+        items = [f"{_dumps(k, inner)}: {_dumps(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_dumps(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]

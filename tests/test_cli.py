@@ -1,8 +1,10 @@
 """End-to-end command-line behaviour, exit codes, and report formats."""
 
+import argparse
 import ast
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import effalg as ea
-from effalg import enumeration, properties, theorems
+from effalg import cli, enumeration, properties, theorems
 from effalg import report as report_mod
 from effalg.cli import cover_pairs, main
 from effalg.models import dumps
@@ -202,9 +204,67 @@ class TestGoldenReports:
         golden_path = request.path.parent / "golden" / golden
         expected = json.loads(golden_path.read_text(encoding="utf-8"))
         assert doc == expected
+        assert report_mod.dumps_report(doc).encode("utf-8") == golden_path.read_bytes()
         jsonschema.validate(doc, report_mod.schema())
         # stable top-level key order
         assert list(doc) == ["model", "valid", "violations", "profile", "witnesses", "theorems"]
+
+
+def _json_dumps(doc) -> str:
+    """The reference the report writer must reproduce byte for byte."""
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+class TestReportWriter:
+    # every code point below 0x80, and three that json.dumps leaves raw
+    TEXT = "".join(map(chr, range(0x80))) + "\u2032\u2026\u2028"
+
+    def test_matches_json_dumps_on_the_reference_corpus(self, reference_corpus):
+        for alg in reference_corpus:
+            doc = report_mod.build_report(alg)
+            assert report_mod.dumps_report(doc) == _json_dumps(doc), alg.name
+
+    @pytest.mark.parametrize("name", ["ex34", "ex36-meet", "ex36-sup", "ex38", "ex39"])
+    def test_matches_json_dumps_on_witness_payloads(self, name, capsys):
+        code, out, _ = run(capsys, "witness", name, "--candidates", "10", "--json")
+        assert code == 0 and out == _json_dumps(json.loads(out))
+
+    def test_matches_json_dumps_on_generated_documents(self):
+        rng = random.Random(20250809)
+        text = self.TEXT
+
+        def draw(depth):
+            kind = rng.randrange(8 if depth < 4 else 4)
+            if kind == 0:
+                return rng.choice([None, True, False, 0, -1, 2**70, -(2**65)])
+            if kind < 4:
+                return "".join(rng.choices(text, k=rng.randrange(6)))
+            if kind < 6:
+                return {"".join(rng.choices(text, k=rng.randrange(4))): draw(depth + 1)
+                        for _ in range(rng.randrange(4))}
+            items = [draw(depth + 1) for _ in range(rng.randrange(4))]
+            return items if kind == 6 else tuple(items)
+
+        docs = [{"all": text, text: [text, (), {}, [], (text,)]},
+                *({"doc": draw(0)} for _ in range(300))]
+        for doc in docs:
+            assert report_mod.dumps_report(doc) == _json_dumps(doc)
+
+    def test_props_json_with_quotes_and_backslashes(self, tmp_path, capsys):
+        # the model is named by its path, so the file name reaches the report
+        path = tmp_path / 'q"uo\\te.efa'
+        path.write_text('elements: 3\none: 2\nlabel: 1 a"b\\c\nlabel: 2 \\"\nsum: 1 1 2\n',
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "props", str(path), "--json")
+        assert code == 0
+        assert out == _json_dumps(report_mod.build_report(ea.load(path)))
+        assert '"a\\"b\\\\c"' in out and json.loads(out)["model"]["name"] == str(path)
+
+    @pytest.mark.parametrize("doc", [{"x": 1.5}, {1: "one"}, {"x": [None, {2: 3}]}, {"x": {1}}],
+                             ids=["float", "int-key", "nested-int-key", "set"])
+    def test_other_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            report_mod.dumps_report(doc)
 
 
 class TestHasse:
@@ -475,6 +535,168 @@ class TestSearchOutputIsLoadable:
         assert dumps(alg).count("sum:") == 1
 
 
+def _reference_parser() -> argparse.ArgumentParser:
+    """The explicit parser the command table replaced, kept as the reference
+    for help text, usage errors and namespaces."""
+    parser = argparse.ArgumentParser(
+        prog="effalg",
+        description="finite effect algebras: validation, properties, enumeration, witnesses")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="validate the axioms of an .efa file")
+    p.add_argument("file")
+    p.set_defaults(func=cli.cmd_check)
+
+    p = sub.add_parser("props", help="decide every structural property of a model")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true", help="emit the JSON report")
+    p.set_defaults(func=cli.cmd_props)
+
+    p = sub.add_parser("hasse", help="export the order diagram (cover relation) as DOT")
+    p.add_argument("file")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cli.cmd_hasse)
+
+    p = sub.add_parser("example", help="write a built-in model to an .efa file")
+    p.add_argument("name", help="family name or full recipe, e.g. chain, boolean:3")
+    p.add_argument("params", nargs="*", help="family parameters (e.g. 5, or operand recipes)")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cli.cmd_example)
+
+    p = sub.add_parser("enumerate", help="generate all models up to isomorphism")
+    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--out", help="directory for the generated .efa files")
+    p.add_argument("--verify-theorems", action="store_true")
+    p.add_argument("--big", action="store_true",
+                   help=f"allow orders above {cli.ENUMERATE_PLAIN_LIMIT} "
+                        f"(up to about 1 s of CPU time, at order {enumeration.ENUMERATION_CAP})")
+    p.set_defaults(func=cli.cmd_enumerate)
+
+    p = sub.add_parser("search", help="hunt for a model with a property profile")
+    p.add_argument("--require", nargs="+", action="extend", default=[], metavar="PROP")
+    p.add_argument("--forbid", nargs="+", action="extend", default=[], metavar="PROP")
+    p.add_argument("--max-size", type=int, required=True)
+    p.set_defaults(func=cli.cmd_search)
+
+    p = sub.add_parser("witness", help="run an infinite-family claim checker")
+    p.add_argument("name", choices=cli.WITNESS_NAMES)
+    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--candidates", type=int, default=100)
+    p.add_argument("--seed", type=int, default=20250809)
+    p.add_argument("--target", type=int, default=5, help="ex38: which primed element to certify")
+    p.add_argument("--json", action="store_true", help="emit the JSON report")
+    p.set_defaults(func=cli.cmd_witness)
+
+    return parser
+
+
+def _argparse_vars(parser, argv, capsys):
+    """vars() of argparse's namespace, or None where argparse exits."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+    finally:
+        capsys.readouterr()
+
+
+class TestParsePlain:
+    VALUES = ["m.efa", "3", "12", " 7", "1_0", "x", "ex39", "ex99", "lattice", "atomic",
+              "boolean:3", "", "a b"]
+    HOSTILE = ["--max", "--output=z", "--", "-h", "--help", "-3", "-ox", "-o", "--json",
+               "--out", "--depth", "--bogus", "", "a b"]
+    # forms argparse accepts that are left to it
+    FALLBACK = [
+        ["enumerate", "--max", "3"],
+        ["search", "--req", "lattice", "--max-size", "4"],
+        ["hasse", "m.efa", "--output=z"],
+        ["hasse", "m.efa", "-oz"],
+        ["props", "--", "m.efa"],
+        ["witness", "ex39", "--depth", "-3"],
+        ["check", ""],
+        ["props", "a b", "--json"],
+        ["example", "chain", "-o", "x", "5"],  # a split run; an error before Python 3.12.7
+    ]
+    # the benchmark's and the README's forms, which must not fall back
+    PLAIN = [
+        ["props", "m.efa", "--json"],
+        ["check", "m.efa"],
+        ["hasse", "m.efa", "-o", "m.dot"],
+        ["example", "horizontal_sum", "chain:2", "boolean:2", "--output", "h.efa"],
+        ["example", "-o", "c5.efa", "chain", "5"],
+        ["enumerate", "--max-size", "8", "--big", "--verify-theorems"],
+        ["enumerate", "--out", "d", "--max-size", "4"],
+        ["search", "--require", "lattice", "--forbid", "orthocomplete", "--max-size", "8"],
+        ["search", "--forbid", "a", "b", "--max-size", "6", "--forbid", "c"],
+        ["witness", "ex34", "--candidates", "10", "--json"],
+        ["witness", "--depth", "5", "ex38", "--target", "3", "--seed", "1"],
+    ]
+
+    def _generated(self, rng: random.Random, count: int):
+        """Argvs built from the table's tokens, argument groups in random
+        order (which splits positional runs), some with a hostile token."""
+        for _ in range(count):
+            name = rng.choice([*cli.COMMANDS, "bogus"])
+            groups = []
+            for flags, kw in cli.COMMANDS.get(name, (None, None, ()))[2]:
+                if rng.random() < 0.2:
+                    continue
+                many = rng.choice((0, 1, 1, 2, 3)) if kw.get("nargs") else 1
+                values = rng.choices(self.VALUES, k=many)
+                if not flags[0].startswith("-"):
+                    groups.append(values)
+                elif kw.get("action") == "store_true":
+                    groups.append([rng.choice(flags)])
+                else:
+                    groups.append([rng.choice(flags), *values])
+            rng.shuffle(groups)
+            argv = [name, *(token for group in groups for token in group)]
+            if rng.random() < 0.3:
+                argv.insert(rng.randrange(len(argv) + 1), rng.choice(self.HOSTILE))
+            yield argv
+
+    def test_generated_argvs_agree_with_argparse(self, capsys):
+        parser = cli._build_parser()
+        plain = 0
+        for argv in self._generated(random.Random(26), 6000):
+            got = cli._parse_plain(argv)
+            if got is not None:
+                plain += 1
+                assert vars(got) == _argparse_vars(parser, argv, capsys), argv
+        assert plain > 1000
+
+    @pytest.mark.parametrize("argv", PLAIN, ids=" ".join)
+    def test_plain_forms_are_parsed_without_argparse(self, argv, capsys):
+        got = cli._parse_plain(argv)
+        assert got is not None
+        assert vars(got) == _argparse_vars(_reference_parser(), argv, capsys)
+
+    @pytest.mark.parametrize("argv", FALLBACK, ids=" ".join)
+    def test_other_forms_fall_back_to_argparse(self, argv, capsys):
+        assert cli._parse_plain(argv) is None
+        assert _argparse_vars(cli._build_parser(), argv, capsys) \
+            == _argparse_vars(_reference_parser(), argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], *([name, "-h"] for name in cli.COMMANDS), ["props", "--help"],
+        [], ["bogus"], ["check"], ["props"], ["props", "a", "b"], ["hasse", "m.efa"],
+        ["hasse", "m.efa", "-o"], ["example", "-o", "x"], ["enumerate"],
+        ["search", "--require", "lattice"], ["search", "--max-size", "3", "--require"],
+        ["witness"], ["props", "m.efa", "--bogus"], ["check", "m.efa", "--json"],
+        ["enumerate", "--max-size", "3", "-x"], ["enumerate", "--max"],
+        ["witness", "ex39", "--dep", "x"], ["enumerate", "--max-size", "x"],
+        ["witness", "ex39", "--depth", "1.5"], ["witness", "ex99"],
+    ], ids=lambda argv: " ".join(argv) or "no-command")
+    def test_help_and_usage_errors_match_the_reference(self, argv, capsys):
+        try:
+            _reference_parser().parse_args(argv)
+        except SystemExit as exc:
+            expected = (int(exc.code or 0), *capsys.readouterr())
+        else:
+            pytest.fail(f"the reference parser accepts {argv}")
+        assert run(capsys, *argv) == expected
+
+
 class TestImportContract:
     def test_cli_import_loads_the_traced_modules_and_not_symbolic(self):
         # The benchmark's tracer rebinds functions only in the modules that
@@ -498,5 +720,25 @@ class TestImportContract:
         # models, orders and records are built without dataclasses, whose
         # import pulls in inspect, ast and dis
         assert not {"dataclasses", "inspect"} & loaded
-        # json is loaded only by the commands that read or print it
-        assert "json" not in loaded
+        # argparse (with gettext) loads only for help and usage errors, and
+        # json only when report.schema() reads the schema
+        assert not {"argparse", "gettext", "json"} & loaded
+
+    def test_props_json_loads_neither_argparse_nor_json(self, tmp_path):
+        path = tmp_path / "b3.efa"
+        ea.save(ea.boolean_algebra(3), path)
+        env = dict(os.environ, PYTHONPATH=str(Path(ea.__file__).resolve().parents[1]))
+        probe = ("import atexit, sys; from effalg.cli import main; "
+                 "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr)); "
+                 "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", probe, "props", str(path), "--json"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == _json_dumps(report_mod.build_report(ea.load(path)))
+        loaded = set(proc.stderr.split())
+        assert "effalg.report" in loaded
+        assert not {"argparse", "gettext", "json"} & loaded
+
+    def test_help_still_goes_through_argparse(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: effalg")
