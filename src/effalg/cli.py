@@ -187,8 +187,7 @@ def _print_props_text(alg: FiniteEffectAlgebra, doc: dict) -> None:
 
 def cover_pairs(alg: FiniteEffectAlgebra) -> list[tuple[int, int]]:
     """The cover relation (transitive reduction) of the induced order."""
-    order = derive_order(alg)
-    return [(a, b) for a in range(alg.size) for b in order.minimal(order.up[a] & ~(1 << a))]
+    return [(a, b) for a, covers in enumerate(derive_order(alg).index.covers) for b in covers]
 
 
 def hasse_dot(alg: FiniteEffectAlgebra) -> str:

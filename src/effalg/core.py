@@ -283,21 +283,40 @@ def require_valid(alg: FiniteEffectAlgebra) -> None:
             f"not an effect algebra ({len(report.violations)} violations; first: {first.axiom} {first.message})")
 
 
+class OrderIndex(NamedTuple):
+    """Joins, meets and covers of a partial order, read off its masks.
+
+    In a partial order an up-set U has a least element u exactly when
+    U == ``up[u]``, and a down-set D a greatest element g exactly when
+    D == ``down[g]``; so ``least`` and ``greatest`` map masks back to
+    elements.  ``covers[s]`` lists the t with s ⋖ t, ascending.  ``up`` is
+    kept so that a reader can tell which order the index describes, and
+    ``minus`` is its ``ominus``: ``minus[a][s]`` is the c with a + c = s.
+    """
+
+    up: tuple[int, ...]
+    least: dict[int, int]
+    greatest: dict[int, int]
+    covers: tuple[tuple[int, ...], ...]
+    minus: tuple[dict[int, int], ...]
+
+
 class OrderRelation(NamedTuple):
     """The induced order of a valid model, with supplement and difference.
 
     ``up[a]`` / ``down[a]`` are bitmasks of {b : a <= b} / {b : b <= a}.
-    ``ominus[(b, a)]`` is the unique c with a + c = b, present exactly when
-    a <= b.  ``least``, ``greatest`` and ``minimal`` answer every join,
-    meet, minimal bound, atom and cover: each takes a set of elements as a
-    bitmask.
+    ``ominus[a]`` maps each b >= a to the unique c with a + c = b.  ``index``
+    is what the walk that checked the order built: joins, meets and covers
+    are lookups in it.  ``least``, ``greatest`` and ``minimal`` scan a set
+    of elements given as a bitmask, for minimal bounds and unindexed orders.
     """
 
     size: int
     up: tuple[int, ...]
     down: tuple[int, ...]
     supplement: tuple[int, ...]
-    ominus: Mapping[tuple[int, int], int]
+    ominus: tuple[dict[int, int], ...]
+    index: OrderIndex
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
@@ -329,6 +348,36 @@ class OrderRelation(NamedTuple):
         return (m for m in _bits(mask) if self.down[m] & mask == 1 << m)
 
 
+def _walk_order(up: tuple[int, ...], minus: tuple[dict[int, int], ...]
+                ) -> tuple[tuple[int, ...], OrderIndex]:
+    """Walk each pair a <= b of ``up`` once, raising ``InvariantViolation``
+    unless ``up`` is a partial order, and return its transpose and index.
+
+    A b strictly above a must not be below a, and ``up[b]`` must lie inside
+    ``up[a]``; the covers of a are the b strictly above no other such b.
+    """
+    n = len(up)
+    down = [1 << a for a in range(n)]
+    covers = []
+    for a, mask in enumerate(up):
+        bit = 1 << a
+        if not mask & bit:
+            raise InvariantViolation("order not reflexive")
+        strict = mask ^ bit
+        above = 0
+        for b in _bits(strict):
+            ub = up[b]
+            if ub & bit:
+                raise InvariantViolation(f"order not antisymmetric at ({a}, {b})")
+            if ub & ~mask:
+                raise InvariantViolation(f"order not transitive at ({a}, {b})")
+            down[b] |= bit
+            above |= ub ^ 1 << b
+        covers.append(tuple(_bits(strict & ~above)))
+    return tuple(down), OrderIndex(up, {m: u for u, m in enumerate(up)},
+                                   {m: g for g, m in enumerate(down)}, tuple(covers), minus)
+
+
 @per_model
 def derive_order(alg: FiniteEffectAlgebra) -> OrderRelation:
     """Derive <=, the orthosupplement map and the partial difference.
@@ -336,38 +385,26 @@ def derive_order(alg: FiniteEffectAlgebra) -> OrderRelation:
     Rejects invalid tables.  The facts that hold for every valid model
     (partial order, bounds, involution, antitonicity, uniqueness of the
     difference) are re-checked here and raise ``InvariantViolation`` if the
-    table somehow breaks them.
+    table somehow breaks them.  The order carries the index its check built.
     """
     require_valid(alg)
     n = alg.size
     one = alg.one
     up = [1 << a for a in range(n)]
-    ominus: dict[tuple[int, int], int] = {}
+    minus = [{} for _ in range(n)]
     for a, b, c in alg.defined_pairs():
         up[a] |= 1 << c
         up[b] |= 1 << c
         for lo, hi in ((a, b), (b, a)):
-            prev = ominus.setdefault((c, lo), hi)
+            prev = minus[lo].setdefault(c, hi)
             if prev != hi:
                 raise InvariantViolation(
                     f"difference not unique: {alg.label(c)} ⊖ {alg.label(lo)} ∈ "
                     f"{{{alg.label(prev)}, {alg.label(hi)}}}")
 
+    up, minus = tuple(up), tuple(minus)
+    down, index = _walk_order(up, minus)
     full = (1 << n) - 1
-    down = [0] * n
-    for a in range(n):
-        for b in _bits(up[a]):
-            down[b] |= 1 << a
-
-    # Partial-order and boundedness checks (theorems for valid tables).
-    for a in range(n):
-        if not up[a] >> a & 1:
-            raise InvariantViolation("order not reflexive")
-        for b in _bits(up[a]):
-            if a != b and up[b] >> a & 1:
-                raise InvariantViolation(f"order not antisymmetric at ({a}, {b})")
-            if up[b] & ~up[a]:
-                raise InvariantViolation(f"order not transitive at ({a}, {b})")
     if up[0] != full or up[one] != 1 << one or down[one] != full:
         raise InvariantViolation("0 and 1 are not the bounds of the induced order")
 
@@ -375,64 +412,29 @@ def derive_order(alg: FiniteEffectAlgebra) -> OrderRelation:
     for a in range(n):
         if supp[supp[a]] != a:
             raise InvariantViolation("orthosupplement is not an involution")
-        for b in _bits(up[a]):
+        # every a <= b is a chain of covers: antitone along them is antitone
+        for b in index.covers[a]:
             if not up[supp[b]] >> supp[a] & 1:
                 raise InvariantViolation("orthosupplement is not antitone")
 
-    # The difference is defined exactly on the order.  Every key (c, lo) was
-    # written together with bit c of up[lo], so the domain of ominus is a
-    # subset of {(b, a) : a <= b}; two finite sets, one inside the other,
-    # are equal iff they have the same size.
-    if len(ominus) != sum(mask.bit_count() for mask in up):
+    # The difference is defined exactly on the order.  Every entry c of
+    # minus[lo] was written together with bit c of up[lo], so the domain of
+    # the difference is a subset of {(a, b) : a <= b}; two finite sets, one
+    # inside the other, are equal iff they have the same size.
+    if sum(map(len, minus)) != sum(mask.bit_count() for mask in up):
         raise InvariantViolation("difference domain does not match the order")
 
-    return OrderRelation(n, tuple(up), tuple(down), tuple(supp), ominus)
-
-
-class OrderIndex(NamedTuple):
-    """Joins, meets and covers of a partial order, read off its masks.
-
-    In a partial order an up-set U has a least element u exactly when
-    U == ``up[u]``, and a down-set D a greatest element g exactly when
-    D == ``down[g]``; so ``least`` and ``greatest`` map masks back to
-    elements.  ``covers[s]`` lists the t with s ⋖ t, ascending.  ``up`` is
-    kept so that a reader can tell which order the index describes, and
-    ``minus`` is its ``ominus``, where a reader finds the c with a + c = s.
-    """
-
-    up: tuple[int, ...]
-    least: dict[int, int]
-    greatest: dict[int, int]
-    covers: tuple[tuple[int, ...], ...]
-    minus: Mapping[tuple[int, int], int]
+    return OrderRelation(n, up, down, tuple(supp), minus, index)
 
 
 def index_order(order: OrderRelation) -> OrderIndex | None:
     """The index of ``order``, or ``None`` unless ``up`` is reflexive,
     antisymmetric and transitive and ``down`` is its transpose."""
-    up, down = order.up, order.down
-    n = len(up)
-    least = {mask: u for u, mask in enumerate(up)}
-    greatest = {mask: g for g, mask in enumerate(down)}
-    # given reflexivity and transitivity, a ≤ b ≤ a with a ≠ b makes
-    # up[a] == up[b]: antisymmetry is n distinct up-sets
-    if len(least) < n or len(greatest) < n:
+    try:
+        down, index = _walk_order(order.up, order.ominus)
+    except InvariantViolation:
         return None
-    if sum(mask.bit_count() for mask in up) != sum(mask.bit_count() for mask in down):
-        return None
-    covers = []
-    for a, mask in enumerate(up):
-        if not mask >> a & 1 or not down[a] >> a & 1:
-            return None
-        strict = mask ^ 1 << a
-        cover = []
-        for b in _bits(strict):
-            if up[b] & ~mask or not down[b] >> a & 1:
-                return None
-            if down[b] & strict == 1 << b:
-                cover.append(b)
-        covers.append(tuple(cover))
-    return OrderIndex(up, least, greatest, tuple(covers), order.ominus)
+    return index if down == order.down else None
 
 
 def is_orthogonal(alg: FiniteEffectAlgebra, a: int, b: int) -> bool:

@@ -82,7 +82,7 @@ def is_principal(alg: FiniteEffectAlgebra, a: int) -> bool:
     down, supp, ominus = order.down, order.supplement, order.ominus
     below = down[a]
     for b in _bits(below):
-        rest = ominus.get((a, b))  # absent only if the order is not the table's
+        rest = ominus[b].get(a)  # absent only if the order is not the table's
         if below & down[supp[b]] & ~(0 if rest is None else down[rest]):
             return False
     return True
@@ -90,10 +90,11 @@ def is_principal(alg: FiniteEffectAlgebra, a: int) -> bool:
 
 @per_model
 def order_index(alg: FiniteEffectAlgebra) -> OrderIndex | None:
-    """``index_order`` of the order this module reads: ``None`` when that is
-    not a partial order, and then its readers scan for least and greatest
-    elements instead."""
-    return index_order(derive_order(alg))
+    """The index of the order this module reads, ``index_order`` of an order
+    that carries none of its own: ``None`` when that is not a partial order,
+    and then its readers scan for least and greatest elements instead."""
+    order = derive_order(alg)
+    return order.index if order.index.up is order.up else index_order(order)
 
 
 def _least(alg: FiniteEffectAlgebra, order: OrderRelation) -> Callable[[int], int | None]:

@@ -87,13 +87,9 @@ def _cancellation(alg: FiniteEffectAlgebra, up: tuple[int, ...],
     other row, and a row whose covers fail, goes to ``_cancellation_row``.
     """
     covers = index.covers if index is not None and index.up == up else None
-    if covers is not None:
-        preimages: list[dict[int, int]] = [{} for _ in up]
-        for (s, a), c in index.minus.items():
-            preimages[a][s] = c
     for a, row in enumerate(alg.table):
         if covers is not None:
-            image, pre = up[a], preimages[a]
+            image, pre = up[a], index.minus[a]
             # len(pre) distinct cells of the row hold the len(pre) elements
             # of up[a], and no other cell is defined
             if (len(row) - row.count(None) == len(pre) == image.bit_count()

@@ -279,6 +279,20 @@ class TestHasse:
         assert text.count("->") == 4  # the diamond
         assert "lightblue" in text    # atoms marked
 
+    @pytest.mark.parametrize("recipe,golden", [
+        ("boolean:3", "hasse_boolean3.dot"),
+        ("even_subsets:6", "hasse_even6.dot"),
+        ("chain:5", "hasse_chain5.dot"),
+        ("horizontal_sum(boolean:2,chain:3)", "hasse_hsum_b2_c3.dot"),
+    ])
+    def test_golden(self, recipe, golden, tmp_path, capsys, request):
+        src = tmp_path / "model.efa"
+        ea.save(ea.parse_recipe(recipe), src)
+        out_path = tmp_path / "model.dot"
+        code, _, _ = run(capsys, "hasse", str(src), "-o", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == (request.path.parent / "golden" / golden).read_bytes()
+
     def test_hasse_on_invalid_model_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.efa"
         path.write_text("elements: 3\none: 2\n", encoding="utf-8")

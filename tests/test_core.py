@@ -6,6 +6,7 @@ import random
 import pytest
 
 import effalg as ea
+from effalg import core
 from effalg.core import FiniteEffectAlgebra
 
 from conftest import even_subset_index
@@ -202,14 +203,40 @@ class TestDerivedOrder:
     def test_ominus_is_the_sum_witness(self, small_corpus):
         for alg in small_corpus:
             order = ea.derive_order(alg)
-            for (b, a), c in order.ominus.items():
-                assert alg.sum_of(a, c) == b
-                assert order.le(a, b)
+            for a, differences in enumerate(order.ominus):
+                for b, c in differences.items():
+                    assert alg.sum_of(a, c) == b
+                    assert order.le(a, b)
 
     def test_rejects_invalid(self):
         broken = ea.chain(3).with_entry(1, 2, None)
         with pytest.raises(ea.InvalidModelError):
             ea.derive_order(broken)
+
+    # Symmetric tables that pass no validation, each breaking one theorem
+    # that derive_order re-checks and none that it checks before.
+    @pytest.mark.parametrize("size,one,entries,message", [
+        # 1 ⊕ 1 = 1 ⊕ 2 = 3.  A supplement that is no involution needs a row
+        # holding the unit twice, so this check always speaks for it first.
+        (4, 3, {(0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 1): 3, (1, 2): 3},
+         "difference not unique: 3 ⊖ 1 ∈ {1, 2}"),
+        # 1 ⊕ 2 = 2 puts 1 below 2, and 2 ⊕ 2 = 1 puts 2 below 1
+        (3, 1, {(1, 2): 2, (2, 2): 1}, "order not antisymmetric at (1, 2)"),
+        # 1 below 2 below 0, and 1 not below 0
+        (3, 1, {(1, 2): 2, (2, 2): 0}, "order not transitive at (1, 2)"),
+        # no sums at all: 0 is below nothing but itself
+        (3, 1, {}, "0 and 1 are not the bounds of the induced order"),
+        # 1 ⊕ 1 = 3 puts 1 below 3, yet 3′ = 4 is not below 1′ = 2
+        (6, 5, {**{(0, t): t for t in range(6)}, (1, 2): 5, (3, 4): 5, (1, 1): 3},
+         "orthosupplement is not antitone"),
+        # nothing sums with 0 to 0, so 0 ⊖ 0 is missing
+        (3, 1, {(0, 1): 1, (0, 2): 2, (2, 2): 1}, "difference domain does not match the order"),
+    ])
+    def test_fault_messages(self, monkeypatch, size, one, entries, message):
+        monkeypatch.setattr(core, "require_valid", lambda alg: None)
+        with pytest.raises(ea.InvariantViolation) as err:
+            ea.derive_order(tiny(entries, size, one))
+        assert str(err.value) == message
 
 
 class TestOrthogonality:

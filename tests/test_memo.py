@@ -121,6 +121,34 @@ def test_one_report_derives_each_fact_once(recipe):
             assert counts[body] == 1, name
 
 
+@pytest.mark.parametrize("recipe", ["even_subsets:6", "chain:5", "boolean:4",
+                                    "horizontal_sum(boolean:2,chain:3)"])
+def test_props_visits_the_order_pairs_at_most_twice(recipe, tmp_path, capsys):
+    # The order code of core reads the elements of a mask through _bits, so
+    # an element that a _bits generator yields to core is one visit of a
+    # pair (a, b) with a <= b, or of one element of a set.
+    path = tmp_path / "model.efa"
+    ea.save(ea.parse_recipe(recipe), path)
+    bits = core._bits.__code__
+    visits = 0
+
+    def tally(frame, event, arg):
+        nonlocal visits
+        if (event == "return" and arg is not None and frame.f_code is bits
+                and frame.f_back.f_code.co_filename == core.__file__):
+            visits += 1
+
+    sys.setprofile(tally)
+    try:
+        code = main(["props", str(path), "--json"])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == 0
+    pairs = sum(mask.bit_count() for mask in ea.derive_order(ea.load(path)).up)
+    assert visits <= 2 * pairs, (visits, pairs)
+
+
 def test_classify_reads_joins_and_meets_from_the_order():
     # the public bound functions re-check their input on every call
     counts = _calls_during(properties.classify, ea.chain(32))
