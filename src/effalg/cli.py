@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from . import models, report
 from .core import FiniteEffectAlgebra, InvalidModelError, InvariantViolation, derive_order, validate
 from .enumeration import ENUMERATION_CAP, SearchConstraint, enumerate_up_to_iso, search
-from .properties import PROFILE_FLAGS, atoms, profile
+from .properties import PROFILE_FLAGS, atoms
 from .theorems import CHECK_IDS, run_exhaustive
 
 WITNESS_NAMES = ("ex34", "ex36-meet", "ex36-sup", "ex38", "ex39")

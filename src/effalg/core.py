@@ -289,16 +289,13 @@ class OrderIndex(NamedTuple):
     In a partial order an up-set U has a least element u exactly when
     U == ``up[u]``, and a down-set D a greatest element g exactly when
     D == ``down[g]``; so ``least`` and ``greatest`` map masks back to
-    elements.  ``covers[s]`` lists the t with s ⋖ t, ascending.  ``up`` is
-    kept so that a reader can tell which order the index describes, and
-    ``minus`` is its ``ominus``: ``minus[a][s]`` is the c with a + c = s.
+    elements.  ``covers[s]`` lists the t with s ⋖ t, ascending.  The index
+    is carried by the order it describes and has no other owner.
     """
 
-    up: tuple[int, ...]
     least: dict[int, int]
     greatest: dict[int, int]
     covers: tuple[tuple[int, ...], ...]
-    minus: tuple[dict[int, int], ...]
 
 
 class OrderRelation(NamedTuple):
@@ -307,8 +304,10 @@ class OrderRelation(NamedTuple):
     ``up[a]`` / ``down[a]`` are bitmasks of {b : a <= b} / {b : b <= a}.
     ``ominus[a]`` maps each b >= a to the unique c with a + c = b.  ``index``
     is what the walk that checked the order built: joins, meets and covers
-    are lookups in it.  ``least``, ``greatest`` and ``minimal`` scan a set
-    of elements given as a bitmask, for minimal bounds and unindexed orders.
+    are lookups in it.  It is ``None`` for a relation that is not a partial
+    order, and ``_replace(up=...)`` keeps the old one unless ``index=`` is
+    passed too.  ``least``, ``greatest`` and ``minimal`` scan a set of
+    elements given as a bitmask, for minimal bounds and unindexed relations.
     """
 
     size: int
@@ -316,7 +315,7 @@ class OrderRelation(NamedTuple):
     down: tuple[int, ...]
     supplement: tuple[int, ...]
     ominus: tuple[dict[int, int], ...]
-    index: OrderIndex
+    index: OrderIndex | None
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
@@ -348,8 +347,7 @@ class OrderRelation(NamedTuple):
         return (m for m in _bits(mask) if self.down[m] & mask == 1 << m)
 
 
-def _walk_order(up: tuple[int, ...], minus: tuple[dict[int, int], ...]
-                ) -> tuple[tuple[int, ...], OrderIndex]:
+def _walk_order(up: tuple[int, ...]) -> tuple[tuple[int, ...], OrderIndex]:
     """Walk each pair a <= b of ``up`` once, raising ``InvariantViolation``
     unless ``up`` is a partial order, and return its transpose and index.
 
@@ -374,8 +372,8 @@ def _walk_order(up: tuple[int, ...], minus: tuple[dict[int, int], ...]
             down[b] |= bit
             above |= ub ^ 1 << b
         covers.append(tuple(_bits(strict & ~above)))
-    return tuple(down), OrderIndex(up, {m: u for u, m in enumerate(up)},
-                                   {m: g for g, m in enumerate(down)}, tuple(covers), minus)
+    return tuple(down), OrderIndex({m: u for u, m in enumerate(up)},
+                                   {m: g for g, m in enumerate(down)}, tuple(covers))
 
 
 @per_model
@@ -383,9 +381,10 @@ def derive_order(alg: FiniteEffectAlgebra) -> OrderRelation:
     """Derive <=, the orthosupplement map and the partial difference.
 
     Rejects invalid tables.  The facts that hold for every valid model
-    (partial order, bounds, involution, antitonicity, uniqueness of the
-    difference) are re-checked here and raise ``InvariantViolation`` if the
-    table somehow breaks them.  The order carries the index its check built.
+    (uniqueness of the difference, partial order, bounds, domain of the
+    difference, antitonicity) are re-checked here, in that order, and raise
+    ``InvariantViolation`` if the table somehow breaks them.  The order
+    carries the index its check built.
     """
     require_valid(alg)
     n = alg.size
@@ -402,20 +401,11 @@ def derive_order(alg: FiniteEffectAlgebra) -> OrderRelation:
                     f"difference not unique: {alg.label(c)} ⊖ {alg.label(lo)} ∈ "
                     f"{{{alg.label(prev)}, {alg.label(hi)}}}")
 
-    up, minus = tuple(up), tuple(minus)
-    down, index = _walk_order(up, minus)
+    up = tuple(up)
+    down, index = _walk_order(up)
     full = (1 << n) - 1
     if up[0] != full or up[one] != 1 << one or down[one] != full:
         raise InvariantViolation("0 and 1 are not the bounds of the induced order")
-
-    supp = [row.index(one) for row in alg.table]
-    for a in range(n):
-        if supp[supp[a]] != a:
-            raise InvariantViolation("orthosupplement is not an involution")
-        # every a <= b is a chain of covers: antitone along them is antitone
-        for b in index.covers[a]:
-            if not up[supp[b]] >> supp[a] & 1:
-                raise InvariantViolation("orthosupplement is not antitone")
 
     # The difference is defined exactly on the order.  Every entry c of
     # minus[lo] was written together with bit c of up[lo], so the domain of
@@ -424,14 +414,24 @@ def derive_order(alg: FiniteEffectAlgebra) -> OrderRelation:
     if sum(map(len, minus)) != sum(mask.bit_count() for mask in up):
         raise InvariantViolation("difference domain does not match the order")
 
-    return OrderRelation(n, up, down, tuple(supp), minus, index)
+    # a <= 1, so a′ = 1 ⊖ a; a′′ = a, as no row holds 1 twice (uniqueness)
+    supp = tuple(m[one] for m in minus)
+    for a in range(n):
+        # every a <= b is a chain of covers: antitone along them is antitone
+        for b in index.covers[a]:
+            if not up[supp[b]] >> supp[a] & 1:
+                raise InvariantViolation("orthosupplement is not antitone")
+
+    return OrderRelation(n, up, down, supp, tuple(minus), index)
 
 
 def index_order(order: OrderRelation) -> OrderIndex | None:
-    """The index of ``order``, or ``None`` unless ``up`` is reflexive,
-    antisymmetric and transitive and ``down`` is its transpose."""
+    """The index of the partial order ``up`` of ``order``, built afresh, or
+    ``None`` unless ``up`` is reflexive, antisymmetric and transitive and
+    ``down`` is its transpose.  ``derive_order`` hands its index over with
+    the order; this serves a relation that is put together by hand."""
     try:
-        down, index = _walk_order(order.up, order.ominus)
+        down, index = _walk_order(order.up)
     except InvariantViolation:
         return None
     return index if down == order.down else None
@@ -515,8 +515,8 @@ def infimum(alg: FiniteEffectAlgebra, elems: Iterable[int]) -> int | None:
     """Greatest lower bound, or ``None``.  inf ∅ = 1.
 
     The orthosupplement is an order-reversing involution (``derive_order``
-    checks both), so inf S = (sup S′)′: the supplements of the lower bounds
-    of S are the upper bounds of S′.
+    checks the first and derives the second), so inf S = (sup S′)′: the
+    supplements of the lower bounds of S are the upper bounds of S′.
     """
     order = derive_order(alg)
     supp = order.supplement

@@ -29,12 +29,10 @@ from typing import Any, Callable, Mapping, NamedTuple
 from .core import (
     FiniteEffectAlgebra,
     InvariantViolation,
-    OrderIndex,
     OrderRelation,
     _bits,
     _check_element,
     derive_order,
-    index_order,
     per_model,
     require_valid,
 )
@@ -88,18 +86,11 @@ def is_principal(alg: FiniteEffectAlgebra, a: int) -> bool:
     return True
 
 
-@per_model
-def order_index(alg: FiniteEffectAlgebra) -> OrderIndex | None:
-    """The index of the order this module reads, ``index_order`` of an order
-    that carries none of its own: ``None`` when that is not a partial order,
-    and then its readers scan for least and greatest elements instead."""
-    order = derive_order(alg)
-    return order.index if order.index.up is order.up else index_order(order)
-
-
-def _least(alg: FiniteEffectAlgebra, order: OrderRelation) -> Callable[[int], int | None]:
-    """The least element of an up-set mask, by lookup where the order is indexed."""
-    index = order_index(alg)
+def _least(order: OrderRelation) -> Callable[[int], int | None]:
+    """The least element of an up-set mask, by lookup where the order is
+    indexed; a relation that is not a partial order has no index, and its
+    readers scan instead."""
+    index = order.index
     return order.least if index is None else index.least.get
 
 
@@ -108,7 +99,7 @@ def pair_joins(alg: FiniteEffectAlgebra) -> tuple[int | None, ...]:
     """The supremum of {a, b} for every defined pair, in ``defined_pairs`` order."""
     order = derive_order(alg)
     up = order.up
-    least = _least(alg, order)
+    least = _least(order)
     return tuple(least(up[a] & up[b]) for a, b, _ in alg.defined_pairs())
 
 
@@ -145,7 +136,7 @@ def classify(alg: FiniteEffectAlgebra) -> Classification:
     # It is also a bijection, so the meets ask for the same joins as the
     # pairs: the model is a lattice iff every pair has a join.  Only when
     # one has none is the first pair without a join or a meet looked for.
-    index = order_index(alg)
+    index = order.index
     has_least = (index.least.__contains__ if index is not None
                  else lambda mask: order.least(mask) is not None)
     up = order.up
@@ -171,7 +162,7 @@ def lattice_by_meets(alg: FiniteEffectAlgebra) -> bool:
     the supplement; ``profile`` compares the two routes.
     """
     order = derive_order(alg)
-    index = order_index(alg)
+    index = order.index
     has_greatest = (index.greatest.__contains__ if index is not None
                     else lambda mask: order.greatest(mask) is not None)
     down = order.down
@@ -224,7 +215,7 @@ def is_atomistic(alg: FiniteEffectAlgebra) -> Decision:
     """Every nonzero element is the supremum of the atoms below it."""
     order = derive_order(alg)
     up = order.up
-    least = _least(alg, order)
+    least = _least(order)
     ats = atoms(alg)
     full = (1 << alg.size) - 1
     for a in range(1, alg.size):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .core import FiniteEffectAlgebra, OrderIndex, _bits, derive_order
+from .core import FiniteEffectAlgebra, OrderRelation, _bits, derive_order
 from .enumeration import enumerate_up_to_iso
 from .properties import (
     classify,
@@ -25,7 +25,6 @@ from .properties import (
     is_orthocomplete,
     is_weakly_orthocomplete,
     isotropic_indices,
-    order_index,
     pair_joins,
 )
 
@@ -75,21 +74,21 @@ def _biconditional(lhs: bool, rhs: bool, witness: Any) -> CheckResult:
     return CheckResult(PASS) if lhs == rhs else CheckResult(FAIL, witness)
 
 
-def _cancellation(alg: FiniteEffectAlgebra, up: tuple[int, ...],
-                  index: OrderIndex | None = None) -> CheckResult:
+def _cancellation(alg: FiniteEffectAlgebra, order: OrderRelation) -> CheckResult:
     """a⊕b <= a⊕c implies b <= c, over all a, b, c with both sums defined.
 
-    Row by row.  When ``index`` indexes ``up`` itself and the map
-    c -> a⊕c is injective with image ``up[a]``, any a⊕b <= a⊕c is joined by
-    covers inside ``up[a]``, each with a preimage, so the law holds for a
-    iff the preimages of every cover s ⋖ t are ordered.  The preimages are
-    read from ``index.minus`` and each is checked against the row.  Any
-    other row, and a row whose covers fail, goes to ``_cancellation_row``.
+    Row by row.  When ``order`` is indexed and the map c -> a⊕c is
+    injective with image ``up[a]``, any a⊕b <= a⊕c is joined by covers
+    inside ``up[a]``, each with a preimage, so the law holds for a iff the
+    preimages of every cover s ⋖ t are ordered.  The preimages are read
+    from ``order.ominus`` and each is checked against the row.  Any other
+    row, and a row whose covers fail, goes to ``_cancellation_row``.
     """
-    covers = index.covers if index is not None and index.up == up else None
+    up, ominus = order.up, order.ominus
+    covers = None if order.index is None else order.index.covers
     for a, row in enumerate(alg.table):
         if covers is not None:
-            image, pre = up[a], index.minus[a]
+            image, pre = up[a], ominus[a]
             # len(pre) distinct cells of the row hold the len(pre) elements
             # of up[a], and no other cell is defined
             if (len(row) - row.count(None) == len(pre) == image.bit_count()
@@ -148,7 +147,7 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
     lab = alg.label
     results: dict[str, CheckResult] = {}
 
-    results["cancellation"] = _cancellation(alg, order.up, order_index(alg))
+    results["cancellation"] = _cancellation(alg, order)
 
     sup_le: CheckResult | None = None
     for (a, b, c), s in zip(alg.defined_pairs(), pair_joins(alg)):

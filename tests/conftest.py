@@ -3,7 +3,7 @@ import random
 import pytest
 
 import effalg as ea
-from effalg.core import _bits
+from effalg.core import _bits, index_order
 
 
 @pytest.fixture(scope="session")
@@ -94,13 +94,16 @@ def even_subset_index(m: int, mask: int) -> int:
 
 
 def order_with_up(order, up):
-    """A copy of ``order`` with the up-sets ``up`` and ``down`` their transpose,
-    so that ``le``, ``least`` and ``minimal`` all read the one relation."""
+    """A copy of ``order`` with the up-sets ``up``, ``down`` their transpose
+    and the index of that relation (``None`` unless it is a partial order),
+    so that ``le``, ``least``, ``minimal`` and the index all read the one
+    relation."""
     down = [0] * order.size
     for x, mask in enumerate(up):
         for y in _bits(mask):
             down[y] |= 1 << x
-    return order._replace(up=tuple(up), down=tuple(down))
+    relation = order._replace(up=tuple(up), down=tuple(down))
+    return relation._replace(index=index_order(relation))
 
 
 def bend_order(order, rng):

@@ -183,7 +183,8 @@ class TestOrthocompleteness:
         # chain:3 with 2 cut from the up-set of 1, although 1 ⊕ 1 = 2
         alg = ea.chain(3)
         order = ea.derive_order(alg)
-        bent = order._replace(up=(order.up[0], order.up[1] & ~0b100, *order.up[2:]))
+        # ``down`` is left as it was: not a partial order, so no index
+        bent = order._replace(up=(order.up[0], order.up[1] & ~0b100, *order.up[2:]), index=None)
         monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
         path = tmp_path / "c3.efa"
         ea.save(alg, path)

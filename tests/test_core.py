@@ -1,7 +1,6 @@
 """Axiom checking, the induced order, bounds and multiset sums."""
 
 import itertools
-import random
 
 import pytest
 
@@ -217,7 +216,8 @@ class TestDerivedOrder:
     # that derive_order re-checks and none that it checks before.
     @pytest.mark.parametrize("size,one,entries,message", [
         # 1 ⊕ 1 = 1 ⊕ 2 = 3.  A supplement that is no involution needs a row
-        # holding the unit twice, so this check always speaks for it first.
+        # holding the unit twice, which this check refuses, so derive_order
+        # has no involution check of its own.
         (4, 3, {(0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 1): 3, (1, 2): 3},
          "difference not unique: 3 ⊖ 1 ∈ {1, 2}"),
         # 1 ⊕ 2 = 2 puts 1 below 2, and 2 ⊕ 2 = 1 puts 2 below 1
@@ -231,6 +231,10 @@ class TestDerivedOrder:
          "orthosupplement is not antitone"),
         # nothing sums with 0 to 0, so 0 ⊖ 0 is missing
         (3, 1, {(0, 1): 1, (0, 2): 2, (2, 2): 1}, "difference domain does not match the order"),
+        # a chain 0 < 1 < 2 < 3 whose unit's row is empty: 3 ⊖ 3 and 3′ are
+        # missing, and the domain check speaks before the supplement is read
+        (4, 3, {(0, 0): 2, (0, 1): 1, (0, 2): 3, (1, 1): 3, (1, 2): 2},
+         "difference domain does not match the order"),
     ])
     def test_fault_messages(self, monkeypatch, size, one, entries, message):
         monkeypatch.setattr(core, "require_valid", lambda alg: None)

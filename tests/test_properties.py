@@ -273,7 +273,7 @@ class TestOrderIndex:
         for alg in reference_corpus:
             order = ea.derive_order(alg)
             index = index_order(order)
-            assert index is not None and index.up is order.up
+            assert index is not None and index == order.index
             assert index.covers == _covers_by_definition(order), alg.name
             up, down = order.up, order.down
             for a in range(alg.size):
@@ -310,9 +310,21 @@ class TestOrderIndex:
                 monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
                 verdict = properties.lattice_by_meets(model)
                 assert verdict == _meets_by_definition(bent), alg.name
-                seen.add((verdict, properties.order_index(model) is not None))
+                seen.add((verdict, bent.index is not None))
         # both verdicts, from the index and from the scan
         assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+    def test_lattice_by_meets_does_not_depend_on_cache_history(self, monkeypatch):
+        # a model analysed under its own order, then read under a bent one:
+        # the verdict is the bent relation's, whatever was derived before
+        for recipe in ("boolean:3", "even_subsets:6", "chain:5",
+                       "horizontal_sum(boolean:2,chain:3)"):
+            for model, bent in bent_copies(ea.parse_recipe(recipe)):
+                ea.profile(model)
+                with monkeypatch.context() as patch:
+                    patch.setattr(properties, "derive_order", lambda _alg: bent)
+                    verdict = properties.lattice_by_meets(model)
+                assert verdict == _meets_by_definition(bent), recipe
 
 
 class TestIsotropicIndex:
@@ -503,7 +515,7 @@ class TestOrthocompleteness:
         up[total] &= ~(1 << total)
         up[total + 1] &= ~(1 << total + 2)
         up[part] &= ~(1 << total + 2)
-        bent = order._replace(up=tuple(up))
+        bent = order._replace(up=tuple(up), index=None)  # not reflexive at `total`
         witness = _plain_ortho_scan(alg, bent)[0].witness
         assert sum(witness) == total
         assert part not in {sum(c) for r in range(len(witness) + 1)
@@ -519,7 +531,7 @@ class TestOrthocompleteness:
         order = ea.derive_order(alg)
         up = list(order.up)
         up[0], up[3] = 0b0001, 0b0011
-        bent = order._replace(up=tuple(up))
+        bent = order._replace(up=tuple(up), index=None)  # not reflexive at 3
         assert _plain_ortho_scan(alg, bent)[1] == Decision(False, (3,))
         monkeypatch.setattr(properties, "derive_order", lambda _alg: bent)
         assert _assert_rejects(alg, bent)[0] == 0

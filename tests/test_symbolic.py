@@ -1,7 +1,5 @@
 """The four infinite families: exact ops, sampled laws, claim checkers."""
 
-import random
-
 import pytest
 
 import effalg as ea
