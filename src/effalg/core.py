@@ -475,9 +475,10 @@ def oplus_multiset(alg: FiniteEffectAlgebra, items: Iterable[int] | Multiset) ->
     exercised by the test suite); this implementation folds in ascending
     element order.  The empty multiset sums to 0.
     """
+    rows = alg.table
     acc = 0
     for v in _as_sorted_elements(items, alg.size):
-        nxt = alg.sum_of(acc, v)
+        nxt = rows[acc][v]
         if nxt is None:
             return None
         acc = nxt
@@ -512,14 +513,5 @@ def supremum(alg: FiniteEffectAlgebra, elems: Iterable[int]) -> int | None:
 
 
 def infimum(alg: FiniteEffectAlgebra, elems: Iterable[int]) -> int | None:
-    """Greatest lower bound, or ``None``.  inf ∅ = 1.
-
-    The orthosupplement is an order-reversing involution (``derive_order``
-    checks the first and derives the second), so inf S = (sup S′)′: the
-    supplements of the lower bounds of S are the upper bounds of S′.
-    """
-    order = derive_order(alg)
-    supp = order.supplement
-    lb = _bound_mask(alg, elems, upper=False)
-    sup = order.least(sum(1 << supp[x] for x in _bits(lb)))
-    return None if sup is None else supp[sup]
+    """Greatest lower bound, or ``None``.  inf ∅ = 1."""
+    return derive_order(alg).greatest(_bound_mask(alg, elems, upper=False))

@@ -92,9 +92,8 @@ def permute(alg: FiniteEffectAlgebra, pi: Sequence[int], *,
                                alg.name if name is None else name)
 
 
-def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int],
-               best: bytes | None) -> bytes | None:
-    """Linearization of the pi-image table; ``None`` once it exceeds ``best``.
+def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int]) -> bytes:
+    """Linearization of the pi-image table: cells (a, b), a <= b, row by row.
 
     Each cell is one byte and 255 codes "undefined", so carriers of more
     than 255 elements raise ``ValueError``.
@@ -104,20 +103,11 @@ def _linearize(alg: FiniteEffectAlgebra, pi: Sequence[int], inv: Sequence[int],
         raise ValueError(f"canonical forms cover carriers of at most 255 elements, not {n}")
     rows = alg.table
     out = bytearray()
-    pos = 0
     for a in range(n):
         row = rows[inv[a]]
         for b in range(a, n):
             v = row[inv[b]]
-            code = 255 if v is None else pi[v]
-            if best is not None:
-                ref = best[pos]
-                if code > ref:
-                    return None
-                if code < ref:
-                    best = None  # strictly better; stop comparing
-            out.append(code)
-            pos += 1
+            out.append(255 if v is None else pi[v])
     return bytes(out)
 
 
@@ -186,7 +176,8 @@ def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[i
     result equals that of trying all (n-1)! relabelings.  A child may
     resume where its parent stopped because ``best`` only falls, and each
     table that replaced it since then is a leaf below the parent, equal to
-    it on the cells read.
+    it on the cells read.  This reading is the only comparison with
+    ``best``: a leaf is linearized whole only when it read strictly less.
 
     ``automorphisms`` may hand over the automorphism group of ``alg``: each
     g as a tuple with ``alg`` mapped onto itself by a -> g[a].  It must be
@@ -202,8 +193,7 @@ def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[i
     n = alg.size
     rows = alg.table
     best_pi, inv = _greedy_labeling(rows)
-    best = _linearize(alg, best_pi, inv, None)
-    assert best is not None
+    best = _linearize(alg, best_pi, inv)
     # partners[x]: (y, x + y) for every y with a defined sum, y != 0
     partners = [[(y, v) for y, v in enumerate(row) if y and v is not None] for row in rows]
     # cell (a, b) of the relabeled table sits at best[start[a] + b]
@@ -249,7 +239,7 @@ def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[i
         nonlocal best, best_pi
         if k == n:
             if a < n:  # strictly less than best at cell (a, b)
-                best, best_pi = _linearize(alg, pi, inv, None), pi[:]
+                best, best_pi = _linearize(alg, pi, inv), pi[:]
             elif pi < best_pi:
                 best_pi = pi[:]
             return
@@ -551,7 +541,7 @@ def enumerate_up_to_iso(n: int) -> list[FiniteEffectAlgebra]:
         if not validate(model).valid:
             raise InvariantViolation(
                 f"enumeration produced an invalid table (engine defect): {model.entries()}")
-        if _linearize(model, range(n), range(n), None) != form:
+        if _linearize(model, range(n), range(n)) != form:
             raise InvariantViolation(f"an order-{n} model is not its own canonical representative")
         ordered.append(model)
     return ordered

@@ -55,25 +55,9 @@ def _subset_label(mask: int, k: int, full_as: str | None = None) -> str:
     return "{" + ",".join(_POINT_NAMES[i] for i in range(k) if mask >> i & 1) + "}"
 
 
-def boolean_algebra(k: int) -> FiniteEffectAlgebra:
-    """Power set of a k-point set; element index equals its subset mask."""
-    if not 1 <= k <= BOOLEAN_MAX_POINTS:
-        raise ValueError(f"boolean_algebra expects 1 <= k <= {BOOLEAN_MAX_POINTS}")
-    n = 1 << k
-    entries = {}
-    for i in range(n):
-        for j in range(i, n):
-            if i & j == 0:
-                entries[(i, j)] = i | j
-    labels = [_subset_label(m, k) for m in range(n)]
-    return FiniteEffectAlgebra.from_entries(n, n - 1, entries, labels, f"boolean:{k}")
-
-
-def even_subset_omp(m: int) -> FiniteEffectAlgebra:
-    """Even-cardinality subsets of an m-point set, m even; sum = disjoint union."""
-    if m % 2 != 0 or not 2 <= m <= EVEN_SUBSET_MAX_POINTS:
-        raise ValueError(f"even_subset_omp expects an even m with 2 <= m <= {EVEN_SUBSET_MAX_POINTS}")
-    masks = [x for x in range(1 << m) if bin(x).count("1") % 2 == 0]
+def _subset_family(masks: list[int], k: int, full_as: str | None, name: str
+                   ) -> FiniteEffectAlgebra:
+    """Subsets of a k-point set in the order of ``masks``; sum = disjoint union."""
     index = {x: i for i, x in enumerate(masks)}
     entries = {}
     for i, x in enumerate(masks):
@@ -81,9 +65,23 @@ def even_subset_omp(m: int) -> FiniteEffectAlgebra:
             y = masks[j]
             if x & y == 0:
                 entries[(i, j)] = index[x | y]
-    labels = [_subset_label(x, m, full_as="X") for x in masks]
-    return FiniteEffectAlgebra.from_entries(len(masks), len(masks) - 1, entries, labels,
-                                            f"even_subsets:{m}")
+    labels = [_subset_label(x, k, full_as) for x in masks]
+    return FiniteEffectAlgebra.from_entries(len(masks), len(masks) - 1, entries, labels, name)
+
+
+def boolean_algebra(k: int) -> FiniteEffectAlgebra:
+    """Power set of a k-point set; element index equals its subset mask."""
+    if not 1 <= k <= BOOLEAN_MAX_POINTS:
+        raise ValueError(f"boolean_algebra expects 1 <= k <= {BOOLEAN_MAX_POINTS}")
+    return _subset_family(list(range(1 << k)), k, None, f"boolean:{k}")
+
+
+def even_subset_omp(m: int) -> FiniteEffectAlgebra:
+    """Even-cardinality subsets of an m-point set, m even; sum = disjoint union."""
+    if m % 2 != 0 or not 2 <= m <= EVEN_SUBSET_MAX_POINTS:
+        raise ValueError(f"even_subset_omp expects an even m with 2 <= m <= {EVEN_SUBSET_MAX_POINTS}")
+    masks = [x for x in range(1 << m) if bin(x).count("1") % 2 == 0]
+    return _subset_family(masks, m, "X", f"even_subsets:{m}")
 
 
 def chain(n: int) -> FiniteEffectAlgebra:

@@ -115,9 +115,10 @@ def classify(alg: FiniteEffectAlgebra) -> Classification:
     n = alg.size
     witnesses: dict[str, Any] = {}
 
+    rows = alg.table
     orthoalgebra = True
     for a in range(1, n):
-        if alg.defined(a, a):
+        if rows[a][a] is not None:
             orthoalgebra = False
             witnesses["orthoalgebra"] = a
             break
@@ -173,12 +174,14 @@ def lattice_by_meets(alg: FiniteEffectAlgebra) -> bool:
 def isotropic_index(alg: FiniteEffectAlgebra, a: int) -> int | float:
     """Largest k such that the k-fold sum of a is defined; ∞ for a = 0."""
     require_valid(alg)
+    _check_element(a, alg.size)
     if a == 0:
         return math.inf
+    rows = alg.table
     k = 1
     acc = a
     while True:
-        nxt = alg.sum_of(acc, a)
+        nxt = rows[acc][a]
         if nxt is None:
             return k
         acc = nxt
@@ -243,6 +246,7 @@ def _atom_closure(alg: FiniteEffectAlgebra, repeat: bool) -> tuple[int, dict[Sta
     decomposition.
     """
     ats = atoms(alg)
+    rows = alg.table
     parent: dict[State, tuple[State, int]] = {}
     reached = 1  # {0}
     frontier: list[State] = [(0, 0)]
@@ -250,8 +254,9 @@ def _atom_closure(alg: FiniteEffectAlgebra, repeat: bool) -> tuple[int, dict[Sta
         nxt: list[State] = []
         for state in frontier:
             x, i = state
+            row = rows[x]
             for j in range(i, len(ats)):
-                s = alg.sum_of(x, ats[j])
+                s = row[ats[j]]
                 new = (s, 0 if repeat else j + 1)
                 # s is None where undefined; 0 is the root's sum alone
                 if s and new not in parent:

@@ -69,17 +69,18 @@ def _theorems_json(alg: FiniteEffectAlgebra, report: TheoremReport) -> dict:
     return out
 
 
+def skeleton(name: str, size: int | None) -> dict[str, Any]:
+    """The report layout of a valid model with nothing found: keys in order."""
+    return {"model": {"name": name, "size": size}, "valid": True, "violations": [],
+            "profile": {}, "witnesses": {}, "theorems": {}}
+
+
 def build_report(alg: FiniteEffectAlgebra) -> dict:
     """The full JSON report for one model (profile only when valid)."""
     validation = validate(alg)
-    doc: dict[str, Any] = {
-        "model": {"name": alg.name, "size": alg.size},
-        "valid": validation.valid,
-        "violations": _violations_json(alg, validation),
-        "profile": {},
-        "witnesses": {},
-        "theorems": {},
-    }
+    doc = skeleton(alg.name, alg.size)
+    doc["valid"] = validation.valid
+    doc["violations"] = _violations_json(alg, validation)
     if validation.valid:
         prof = profile(alg)
         doc["profile"] = _profile_json(alg, prof)

@@ -28,23 +28,16 @@ from . import Refutation
 
 Point = tuple[int, int]  # (block 1..4, index within the block)
 
-BASES: tuple[frozenset[int], ...] = (
-    frozenset(),
-    frozenset({1, 2}),
-    frozenset({2, 3}),
-    frozenset({3, 4}),
-    frozenset({4, 1}),
-    frozenset({1, 2, 3, 4}),
-)
-
-_BASE_NAMES = {
-    frozenset(): "∅",
-    frozenset({1, 2}): "B1∪B2",
-    frozenset({2, 3}): "B2∪B3",
-    frozenset({3, 4}): "B3∪B4",
-    frozenset({4, 1}): "B4∪B1",
-    frozenset({1, 2, 3, 4}): "X",
+# base -> (name, complement), in the order the seeded draws pick from
+_BASE_TABLE: dict[frozenset[int], tuple[str, frozenset[int]]] = {
+    frozenset(): ("∅", frozenset({1, 2, 3, 4})),
+    frozenset({1, 2}): ("B1∪B2", frozenset({3, 4})),
+    frozenset({2, 3}): ("B2∪B3", frozenset({4, 1})),
+    frozenset({3, 4}): ("B3∪B4", frozenset({1, 2})),
+    frozenset({4, 1}): ("B4∪B1", frozenset({2, 3})),
+    frozenset({1, 2, 3, 4}): ("X", frozenset()),
 }
+BASES: tuple[frozenset[int], ...] = tuple(_BASE_TABLE)
 
 MEET_CLAIM = "B1∪B2 and B2∪B3 have no infimum"
 SUP_CLAIM = "the B1 singletons have no supremum"
@@ -65,7 +58,7 @@ class BlockElement:
                 raise ValueError(f"bad point {(i, k)!r}")
 
     def describe(self) -> str:
-        name = _BASE_NAMES[self.base]
+        name = _BASE_TABLE[self.base][0]
         if not self.pert:
             return name
         pts = "{" + ",".join(f"b{i}.{k}" for i, k in sorted(self.pert)) + "}"
@@ -74,15 +67,6 @@ class BlockElement:
 
 ZERO = BlockElement(frozenset())
 ONE = BlockElement(frozenset({1, 2, 3, 4}))
-
-_COMPLEMENT = {
-    frozenset(): frozenset({1, 2, 3, 4}),
-    frozenset({1, 2, 3, 4}): frozenset(),
-    frozenset({1, 2}): frozenset({3, 4}),
-    frozenset({3, 4}): frozenset({1, 2}),
-    frozenset({2, 3}): frozenset({4, 1}),
-    frozenset({4, 1}): frozenset({2, 3}),
-}
 
 
 def contains(u: BlockElement, p: Point) -> bool:
@@ -115,7 +99,7 @@ def oplus(u: BlockElement, v: BlockElement) -> BlockElement | None:
 
 
 def supplement(u: BlockElement) -> BlockElement:
-    return BlockElement(_COMPLEMENT[u.base], u.pert)
+    return BlockElement(_BASE_TABLE[u.base][1], u.pert)
 
 
 def le(u: BlockElement, v: BlockElement) -> bool:

@@ -187,7 +187,7 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
         orthoatomistic.ok and cls.omp, atomistic.ok, atomistic.witness)
 
     if cls.orthoalgebra:
-        bad = next((a for a in range(1, n) if alg.defined(a, a)), None)
+        bad = next((a for a in range(1, n) if alg.table[a][a] is not None), None)
         results["self_orthogonal_zero"] = CheckResult(PASS) if bad is None else CheckResult(FAIL, lab(bad))
     else:
         results["self_orthogonal_zero"] = CheckResult(VACUOUS)

@@ -253,6 +253,17 @@ class TestOrthogonality:
         for alg in small_corpus:
             assert all(ea.is_orthogonal(alg, 0, x) for x in range(alg.size))
 
+    def test_order_that_disagrees_with_the_table_is_named(self, monkeypatch):
+        c3 = ea.chain(3)
+        order = ea.derive_order(c3)
+        # 1 + 2 is defined, but with 2′ bent to 0 the order says 1 is not below 2′
+        bent = order._replace(supplement=(3, 0, 0, 0))
+        monkeypatch.setattr(core, "derive_order", lambda _alg: bent)
+        with pytest.raises(ea.InvariantViolation,
+                           match=r"^orthogonality mismatch at \(1, 2\): table says True, "
+                                 r"order says False$"):
+            ea.is_orthogonal(c3, 1, 2)
+
 
 class TestOutOfCarrierIndices:
     @pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "size"])

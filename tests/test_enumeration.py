@@ -168,8 +168,8 @@ def brute_force_canonicalize(alg):
         pi = (0, *perm)
         for i, v in enumerate(pi):
             inv[v] = i
-        lin = _linearize(alg, pi, inv, best)
-        if lin is not None and (best is None or lin < best):
+        lin = _linearize(alg, pi, inv)
+        if best is None or lin < best:
             best, best_pi = lin, pi
     return best, ea.permute(alg, best_pi)
 
@@ -564,7 +564,7 @@ class TestCanonicalForm:
         # beaten, so the search must replace its bound, each with its
         # group and without it.
         def dive_form(alg):
-            return _linearize(alg, *enumeration._greedy_labeling(alg.table), None)
+            return _linearize(alg, *enumeration._greedy_labeling(alg.table))
 
         beaten = [(leaf, group) for leaf, group in leaves_with_groups(monkeypatch, range(2, 9))
                   if dive_form(leaf) != ea.canonicalize(leaf)[0]]
@@ -619,7 +619,7 @@ class TestCanonicalForm:
         b8 = ea.boolean_algebra(8)
         assert b8.size == 256
         with pytest.raises(ValueError, match="at most 255 elements"):
-            _linearize(b8, range(256), range(256), None)
+            _linearize(b8, range(256), range(256))
         for fn in (ea.canonicalize, ea.canonical_form):
             with pytest.raises(ValueError, match="at most 255 elements"):
                 fn(b8)
@@ -628,7 +628,7 @@ class TestCanonicalForm:
         # the chain {0, ..., 254}, beyond the chain constructor's range
         c = ea.FiniteEffectAlgebra.from_entries(
             255, 254, {(a, b): a + b for a in range(255) for b in range(a, 255 - a)})
-        form = _linearize(c, range(255), range(255), None)
+        form = _linearize(c, range(255), range(255))
         assert len(form) == 255 * 256 // 2
         assert form[254] == 254 and form[-1] == 255  # 0 + 254, then 254 + 254
 

@@ -66,3 +66,65 @@ def test_no_unused_imports():
     unused = [name for d in (PACKAGE, ROOT / "tests")
               for path in sorted(d.rglob("*.py")) for name in _unused_imports(path)]
     assert not unused, f"imported but never read: {unused}"
+
+
+def _constant_parameters(sources: list[str]) -> list[str]:
+    """Parameters of private functions that every call site fills with one
+    constant, passed or by default.  A function defined twice under one
+    name, read other than by a call, or called with * or ** is skipped."""
+    trees = [ast.parse(source) for source in sources]
+    params: dict[str, list[tuple[list[str], list[str], dict]]] = {}
+    for tree in trees:
+        for owner in ast.walk(tree):
+            for fn in ast.iter_child_nodes(owner):
+                if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") \
+                        or fn.name.startswith("__"):
+                    continue
+                a = fn.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaults = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+                if isinstance(owner, ast.ClassDef):  # self or cls is not passed
+                    positional = positional[1:]
+                params.setdefault(fn.name, []).append(
+                    (positional, [p.arg for p in a.kwonlyargs], defaults))
+    calls: dict[str, list[ast.Call]] = {}
+    callees, reads = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callees.add(node.func)
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+        reads.update(getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+                     if isinstance(node, (ast.Name, ast.Attribute)) and node not in callees)
+    found = []
+    for name, defs in params.items():
+        sites = calls.get(name, [])
+        if len(defs) > 1 or name in reads or not sites or any(
+                isinstance(arg, ast.Starred) for c in sites for arg in c.args) or any(
+                k.arg is None for c in sites for k in c.keywords):
+            continue
+        positional, kwonly, defaults = defs[0]
+        for i, param in enumerate(positional + kwonly):
+            values = set()
+            for c in sites:
+                keywords = {k.arg: k.value for k in c.keywords}
+                node = (c.args[i] if i < len(positional) and i < len(c.args)
+                        else keywords.get(param, defaults.get(param)))
+                values.add(repr(node.value) if isinstance(node, ast.Constant) else None)
+            if len(values) == 1 and None not in values:
+                found.append(f"{name}({param}={values.pop()})")
+    return found
+
+
+def test_constant_parameter_check_flags_a_fixed_argument():
+    source = ("def _f(a, b, *, c=2):\n    return a\n"
+              "def g(x):\n    return _f(x, None) + _f(1, None, c=2)\n")
+    assert _constant_parameters([source]) == ["_f(b=None)", "_f(c=2)"]
+
+
+def test_no_private_parameter_is_always_the_same_constant():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))]
+    fixed = _constant_parameters(sources)
+    assert not fixed, f"private parameters every call site fills with one constant: {fixed}"

@@ -9,7 +9,8 @@ import pytest
 
 import effalg as ea
 from effalg import properties
-from effalg.core import InvariantViolation, ValidationReport, Violation, _bits, index_order
+from effalg.core import (InvariantViolation, ValidationReport, Violation, _bits, _walk_order,
+                         index_order)
 from effalg.enumeration import SearchResult
 from effalg.properties import Classification, Decision, PropertyProfile, _ortho_scan
 from effalg.theorems import CheckResult, TheoremReport
@@ -293,6 +294,14 @@ class TestOrderIndex:
         order = ea.derive_order(ea.chain(3))
         assert index_order(order._replace(up=(order.up[0], order.up[1] & ~0b100,
                                               *order.up[2:]))) is None
+
+    def test_a_relation_that_is_not_reflexive_is_not_indexed(self):
+        order = ea.derive_order(ea.chain(3))
+        up = (order.up[0], order.up[1] & ~0b10, *order.up[2:])
+        down = (order.down[0], order.down[1] & ~0b10, *order.down[2:])
+        with pytest.raises(InvariantViolation, match="order not reflexive"):
+            _walk_order(up)
+        assert index_order(order._replace(up=up, down=down)) is None
 
     def test_lattice_by_meets_matches_definition(self, reference_corpus, even6_meetless_first):
         verdicts = set()
