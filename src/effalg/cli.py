@@ -279,11 +279,12 @@ def cmd_search(args) -> int:
 def cmd_witness(args) -> int:
     # The symbolic families are imported on this path only: no other
     # command uses them, and every invocation pays for module-level imports.
-    text = not args.json
+    # Each witness returns (exit code, JSON payload, text lines), and only
+    # this function picks the view to print.
     if args.name == "ex38":
-        code, payload = _witness_ex38(args.target, args.depth, text)
+        code, payload, lines = _witness_ex38(args.target, args.depth)
     elif args.name == "ex39":
-        code, payload = _witness_ex39(args.depth, text)
+        code, payload, lines = _witness_ex39(args.depth)
     else:
         from .symbolic import blocks, fincof
 
@@ -300,59 +301,41 @@ def cmd_witness(args) -> int:
         }[args.name]
         if args.candidates < 1:
             raise ValueError("--candidates must be at least 1")
-        code, payload = _run_refutations(spec, random.Random(args.seed), args.candidates, text)
+        code, payload, lines = _run_refutations(spec, random.Random(args.seed), args.candidates)
     if args.json:
         doc = report.skeleton(args.name, None)
         doc["witnesses"][args.name] = payload
         print(report.dumps_report(doc), end="")
+    else:
+        print(*lines, sep="\n")
     return code
 
 
-def _run_refutations(spec, rng: random.Random, k: int, text: bool) -> tuple[int, dict]:
+def _run_refutations(spec, rng: random.Random, k: int) -> tuple[int, dict, list[str]]:
     claim, draw_bound, draw_element, refuter = spec
     half = k // 2
     candidates = [draw_bound(rng) for _ in range(k - half)] \
         + [draw_element(rng) for _ in range(half)]
-    if text:
-        print(f"claim: {claim}")
-    entries = []
+    lines = [f"claim: {claim}"]
+    entries, kinds = [], {}
     for cand in candidates:
         ref = refuter(cand)
         if not ref.verified:
             print(f"UNVERIFIED defeater for candidate {cand.describe()}", file=sys.stderr)
-            return 3, {}
+            return 3, {}, lines
         entries.append({"candidate": cand.describe(), "kind": ref.kind, "detail": ref.detail})
-        if text:
-            print(f"  candidate {cand.describe()}: [{ref.kind}] {ref.detail}")
-    if text:
-        print(f"refuted {len(entries)}/{len(entries)} candidates; every defeater re-verified")
-    kinds: dict[str, int] = {}
-    for e in entries:
-        kinds[e["kind"]] = kinds.get(e["kind"], 0) + 1
+        kinds[ref.kind] = kinds.get(ref.kind, 0) + 1
+        lines.append(f"  candidate {cand.describe()}: [{ref.kind}] {ref.detail}")
+    lines.append(f"refuted {len(entries)}/{len(entries)} candidates; every defeater re-verified")
     payload = {"claim": claim, "candidates": len(entries), "refuted": len(entries),
                "by_kind": kinds, "refutations": entries}
-    return 0, payload
+    return 0, payload, lines
 
 
-def _witness_ex38(target: int, depth: int, text: bool) -> tuple[int, dict]:
+def _witness_ex38(target: int, depth: int) -> tuple[int, dict, list[str]]:
     from .symbolic import extended_chain
 
     rep = extended_chain.not_orthoatomistic_report(target, depth)
-    if text:
-        print(f"claim: {rep.target.describe()} is not a sum of atoms")
-        print(f"atoms: {', '.join(a.describe() for a in rep.atoms)}")
-        reach = ", ".join(e.describe() for e in rep.reachable)
-        print(f"atom-multiset sums up to depth {rep.depth}: {reach}")
-        print(f"target {rep.target.describe()}: "
-              f"{'REACHED (defect!)' if rep.target_reachable else 'unreachable'}")
-        chain_text = " > ".join(e.describe() for e in rep.decreasing_chain[:6]) + " > …"
-        print(f"upper bounds of all naturals form a strictly decreasing chain: {chain_text}")
-        print(f"  strictly decreasing to depth {rep.depth}: {rep.chain_strictly_decreasing}")
-        print(f"  each bound dominates every natural to depth {rep.depth}: "
-              f"{rep.chain_all_upper_bounds}")
-        print(f"  no natural is an upper bound: {rep.no_natural_upper_bound}")
-        print("conclusion: no minimal upper bound; infinite atom systems have no sum; "
-              "weak orthocompleteness is untouched")
     payload = {
         "claim": f"{rep.target.describe()} is not a sum of atoms",
         "depth": rep.depth,
@@ -364,27 +347,30 @@ def _witness_ex38(target: int, depth: int, text: bool) -> tuple[int, dict]:
         "chain_all_upper_bounds": rep.chain_all_upper_bounds,
         "no_natural_upper_bound": rep.no_natural_upper_bound,
     }
+    lines = [
+        f"claim: {payload['claim']}",
+        f"atoms: {', '.join(payload['atoms'])}",
+        f"atom-multiset sums up to depth {rep.depth}: "
+        + ", ".join(payload["reachable_by_atom_sums"]),
+        f"target {rep.target.describe()}: "
+        f"{'REACHED (defect!)' if rep.target_reachable else 'unreachable'}",
+        "upper bounds of all naturals form a strictly decreasing chain: "
+        + " > ".join(payload["decreasing_upper_bound_chain"][:6]) + " > …",
+        f"  strictly decreasing to depth {rep.depth}: {rep.chain_strictly_decreasing}",
+        f"  each bound dominates every natural to depth {rep.depth}: {rep.chain_all_upper_bounds}",
+        f"  no natural is an upper bound: {rep.no_natural_upper_bound}",
+        "conclusion: no minimal upper bound; infinite atom systems have no sum; "
+        "weak orthocompleteness is untouched",
+    ]
     if not rep.claim_holds:
         print("internal theorem-check failure in the chain report", file=sys.stderr)
-        return 3, payload
-    return 0, payload
+    return 0 if rep.claim_holds else 3, payload, lines
 
 
-def _witness_ex39(depth: int, text: bool) -> tuple[int, dict]:
+def _witness_ex39(depth: int) -> tuple[int, dict, list[str]]:
     from .symbolic import balanced
 
     analysis = balanced.two_minimal_upper_bounds(depth)
-    if text:
-        print("orthogonal system: the pairs {x_i, y_(i+1)} for i >= 1")
-        print(f"upper bounds ({len(analysis.upper_bounds)}):")
-        for u in analysis.upper_bounds:
-            print(f"  {u.describe()}")
-        print(f"minimal upper bounds ({len(analysis.minimal_upper_bounds)}): "
-              + ", ".join(u.describe() for u in analysis.minimal_upper_bounds))
-        print(f"incomparable: {'yes' if analysis.incomparable else 'no'}")
-        print("supremum: " + (analysis.supremum.describe() if analysis.supremum else "none"))
-        if analysis.weakly_orthocomplete_violated:
-            print("weak orthocompleteness fails: minimal upper bounds exist but the sum does not")
     payload = {
         "upper_bounds": [u.describe() for u in analysis.upper_bounds],
         "minimal_upper_bounds": [u.describe() for u in analysis.minimal_upper_bounds],
@@ -392,11 +378,23 @@ def _witness_ex39(depth: int, text: bool) -> tuple[int, dict]:
         "supremum": analysis.supremum.describe() if analysis.supremum else None,
         "weakly_orthocomplete_violated": analysis.weakly_orthocomplete_violated,
     }
+    lines = [
+        "orthogonal system: the pairs {x_i, y_(i+1)} for i >= 1",
+        f"upper bounds ({len(payload['upper_bounds'])}):",
+        *(f"  {u}" for u in payload["upper_bounds"]),
+        f"minimal upper bounds ({len(payload['minimal_upper_bounds'])}): "
+        + ", ".join(payload["minimal_upper_bounds"]),
+        f"incomparable: {'yes' if analysis.incomparable else 'no'}",
+        f"supremum: {payload['supremum'] or 'none'}",
+    ]
+    if analysis.weakly_orthocomplete_violated:
+        lines.append("weak orthocompleteness fails: "
+                     "minimal upper bounds exist but the sum does not")
     # two_minimal_upper_bounds itself refuses any count but 3 bounds, 2 minimal
-    if not analysis.incomparable or analysis.supremum is not None:
+    holds = analysis.incomparable and analysis.supremum is None
+    if not holds:
         print("internal theorem-check failure in the upper-bound analysis", file=sys.stderr)
-        return 3, payload
-    return 0, payload
+    return 0 if holds else 3, payload, lines
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,7 @@ def is_orthoatomistic(alg: FiniteEffectAlgebra) -> Decision:
     return Decision(True, {a: atom_decomposition(alg, a) for a in range(1, alg.size)})
 
 
+@per_model
 def is_orthoatomistic_sets(alg: FiniteEffectAlgebra) -> bool:
     """Strict-set variant: decompositions may not repeat an atom.
 
@@ -442,7 +443,16 @@ PROFILE_FLAGS = PropertyProfile._fields[:-2]
 
 
 def profile(alg: FiniteEffectAlgebra) -> PropertyProfile:
-    """Run every decider once and enforce the cross-property theorems."""
+    """Every decider's verdict, with the cross-property theorems enforced on
+    them: the verdicts are the ones ``theorems.run_all`` checks."""
+    prof = _verdicts(alg)
+    _enforce_profile_invariants(alg, prof)
+    return prof
+
+
+def _verdicts(alg: FiniteEffectAlgebra) -> PropertyProfile:
+    """Every decider's verdict, read once, with no law enforced.  Not memoised:
+    a record kept on the model would outlive a decider rebound in this module."""
     cls = classify(alg)
     archimedean = is_archimedean(alg)
     oc = is_orthocomplete(alg)
@@ -461,7 +471,7 @@ def profile(alg: FiniteEffectAlgebra) -> PropertyProfile:
         witnesses["disjunctive"] = disjunctive.witness
     witnesses["orthoatomistic"] = orthoatomistic.witness
 
-    prof = PropertyProfile(
+    return PropertyProfile(
         orthoalgebra=cls.orthoalgebra,
         omp=cls.omp,
         oml=cls.oml,
@@ -477,8 +487,6 @@ def profile(alg: FiniteEffectAlgebra) -> PropertyProfile:
         atoms=ats,
         witnesses=witnesses,
     )
-    _enforce_profile_invariants(alg, prof)
-    return prof
 
 
 def _enforce_profile_invariants(alg: FiniteEffectAlgebra, p: PropertyProfile) -> None:

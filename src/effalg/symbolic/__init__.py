@@ -42,16 +42,15 @@ from typing import Any
 
 @dataclass(frozen=True)
 class Refutation:
-    """Outcome of throwing one candidate at a non-existence claim.
+    """How a refuter defeated one candidate for a non-existence claim.
 
-    ``kind`` says how the candidate failed; ``witness`` is the defeating
-    object (a better bound, or the family element the candidate misses).
-    ``verified`` is set only after the defeat has been re-checked with the
-    family's own membership and order predicates.
+    The caller holds the claim and the candidate.  ``kind`` says how the
+    candidate failed; ``witness`` is the defeating object (a better bound,
+    or the family element the candidate misses); ``detail`` says it in
+    words.  ``verified`` is set only after the defeat has been re-checked
+    with the family's own membership and order predicates.
     """
 
-    claim: str
-    candidate: Any
     kind: str
     witness: Any
     detail: str

@@ -167,9 +167,9 @@ def two_minimal_upper_bounds(depth: int = 20) -> UpperBoundAnalysis:
     )
 
 
-def random_element(rng, max_index: int = 15, max_pairs: int = 4) -> BalancedElement:
-    k = rng.randint(0, max_pairs)
-    xs = rng.sample(range(max_index), k)
-    ys = rng.sample(range(max_index), k)
+def random_element(rng) -> BalancedElement:
+    k = rng.randint(0, 4)
+    xs = rng.sample(range(15), k)
+    ys = rng.sample(range(15), k)
     pts = frozenset(itertools.chain((xp(i) for i in xs), (yp(j) for j in ys)))
     return BalancedElement(pts, complemented=rng.random() < 0.5)

@@ -142,10 +142,9 @@ def refute_meet_candidate(candidate: BlockElement) -> Refutation:
     """
     if not (le(candidate, U12) and le(candidate, U23)):
         side = U12 if not le(candidate, U12) else U23
-        return Refutation(
-            MEET_CLAIM, candidate, "not_common_lower_bound", side,
-            f"not a common lower bound: not below {side.describe()}",
-            verified=not le(candidate, side))
+        return Refutation("not_common_lower_bound", side,
+                          f"not a common lower bound: not below {side.describe()}",
+                          verified=not le(candidate, side))
 
     # The le checks above force base = ∅ and pert ⊆ block 2.
     if candidate.base or any(i != 2 for i, _ in candidate.pert):
@@ -153,10 +152,8 @@ def refute_meet_candidate(candidate: BlockElement) -> Refutation:
     fresh = _fresh_point(2, candidate.pert)
     bigger = BlockElement(frozenset(), candidate.pert | {fresh})
     verified = (le(bigger, U12) and le(bigger, U23) and lt(candidate, bigger))
-    return Refutation(
-        MEET_CLAIM, candidate, "larger_common_lower_bound", bigger,
-        f"common lower bound {bigger.describe()} is strictly larger",
-        verified)
+    return Refutation("larger_common_lower_bound", bigger,
+                      f"common lower bound {bigger.describe()} is strictly larger", verified)
 
 
 def is_upper_bound_of_b1_singletons(u: BlockElement) -> bool:
@@ -176,10 +173,9 @@ def refute_singleton_sup_candidate(candidate: BlockElement) -> Refutation:
     """
     if not is_upper_bound_of_b1_singletons(candidate):
         missing = _missing_b1_singleton(candidate)
-        return Refutation(
-            SUP_CLAIM, candidate, "not_upper_bound", missing,
-            f"not an upper bound: misses {missing.describe()}",
-            verified=not le(missing, candidate))
+        return Refutation("not_upper_bound", missing,
+                          f"not an upper bound: misses {missing.describe()}",
+                          verified=not le(missing, candidate))
 
     spare_blocks = sorted(candidate.base - {1})
     if not spare_blocks:
@@ -190,11 +186,9 @@ def refute_singleton_sup_candidate(candidate: BlockElement) -> Refutation:
     verified = (is_upper_bound_of_b1_singletons(smaller)
                 and lt(smaller, candidate)
                 and contains(candidate, q))
-    return Refutation(
-        SUP_CLAIM, candidate, "smaller_upper_bound", smaller,
-        f"still an upper bound after dropping b{i}.{q[1]}: "
-        f"{smaller.describe()} < {candidate.describe()}",
-        verified)
+    return Refutation("smaller_upper_bound", smaller,
+                      f"still an upper bound after dropping b{i}.{q[1]}: "
+                      f"{smaller.describe()} < {candidate.describe()}", verified)
 
 
 def _missing_b1_singleton(u: BlockElement) -> BlockElement:
@@ -204,20 +198,18 @@ def _missing_b1_singleton(u: BlockElement) -> BlockElement:
     return singleton(_fresh_point(1, u.pert))
 
 
-def random_element(rng: random.Random, max_index: int = 10, max_pert: int = 5) -> BlockElement:
+def random_element(rng: random.Random) -> BlockElement:
     base = BASES[rng.randrange(len(BASES))]
-    pert = frozenset((rng.randint(1, 4), rng.randrange(max_index))
-                     for _ in range(rng.randint(0, max_pert)))
+    pert = frozenset((rng.randint(1, 4), rng.randrange(10)) for _ in range(rng.randint(0, 5)))
     return BlockElement(base, pert)
 
 
-def random_common_lower_bound(rng: random.Random, max_index: int = 10, max_pert: int = 5) -> BlockElement:
-    pert = frozenset((2, rng.randrange(max_index)) for _ in range(rng.randint(0, max_pert)))
+def random_common_lower_bound(rng: random.Random) -> BlockElement:
+    pert = frozenset((2, rng.randrange(10)) for _ in range(rng.randint(0, 5)))
     return BlockElement(frozenset(), pert)
 
 
-def random_b1_upper_bound(rng: random.Random, max_index: int = 10, max_pert: int = 5) -> BlockElement:
+def random_b1_upper_bound(rng: random.Random) -> BlockElement:
     base = [b for b in BASES if 1 in b][rng.randrange(3)]
-    pert = frozenset((rng.choice((2, 3, 4)), rng.randrange(max_index))
-                     for _ in range(rng.randint(0, max_pert)))
+    pert = frozenset((rng.choice((2, 3, 4)), rng.randrange(10)) for _ in range(rng.randint(0, 5)))
     return BlockElement(base, pert)

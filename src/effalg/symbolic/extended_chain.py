@@ -181,5 +181,5 @@ def not_orthoatomistic_report(target: int = 5, depth: int = 20) -> ChainClaimRep
     )
 
 
-def random_element(rng, max_value: int = 40) -> ChainElement:
-    return ChainElement(rng.randrange(max_value), rng.random() < 0.5)
+def random_element(rng) -> ChainElement:
+    return ChainElement(rng.randrange(40), rng.random() < 0.5)

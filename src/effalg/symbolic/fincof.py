@@ -78,9 +78,8 @@ def refute_upper_bound_candidate(candidate: FinCofElement) -> Refutation:
         witness = even_singleton(missing // 2)
         verified = not le(witness, candidate) and contains(witness, missing)
         return Refutation(
-            CLAIM, candidate, "not_upper_bound", witness,
-            f"not an upper bound: misses the even singleton {witness.describe()}",
-            verified)
+            "not_upper_bound", witness,
+            f"not an upper bound: misses the even singleton {witness.describe()}", verified)
 
     p = 1
     while p in candidate.points:
@@ -90,7 +89,7 @@ def refute_upper_bound_candidate(candidate: FinCofElement) -> Refutation:
                 and lt(smaller, candidate)
                 and contains(candidate, p))
     return Refutation(
-        CLAIM, candidate, "smaller_upper_bound", smaller,
+        "smaller_upper_bound", smaller,
         f"still an upper bound after removing {p}: {smaller.describe()} < {candidate.describe()}",
         verified)
 
@@ -105,12 +104,11 @@ def _missing_even(u: FinCofElement) -> int:
     return p
 
 
-def random_element(rng: random.Random, max_point: int = 40, max_size: int = 6) -> FinCofElement:
-    points = frozenset(rng.sample(range(max_point), rng.randint(0, max_size)))
+def random_element(rng: random.Random) -> FinCofElement:
+    points = frozenset(rng.sample(range(40), rng.randint(0, 6)))
     return FinCofElement(points, complemented=rng.random() < 0.5)
 
 
-def random_upper_bound(rng: random.Random, max_point: int = 40, max_size: int = 6) -> FinCofElement:
-    odds = [p for p in range(1, max_point, 2)]
-    removed = frozenset(rng.sample(odds, rng.randint(0, max_size)))
+def random_upper_bound(rng: random.Random) -> FinCofElement:
+    removed = frozenset(rng.sample(range(1, 40, 2), rng.randint(0, 6)))
     return FinCofElement(removed, complemented=True)

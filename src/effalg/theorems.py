@@ -15,18 +15,7 @@ from typing import Any, Iterable, Mapping, NamedTuple
 
 from .core import FiniteEffectAlgebra, OrderRelation, _bits, derive_order
 from .enumeration import enumerate_up_to_iso
-from .properties import (
-    classify,
-    is_archimedean,
-    is_atomic,
-    is_atomistic,
-    is_disjunctive,
-    is_orthoatomistic,
-    is_orthocomplete,
-    is_weakly_orthocomplete,
-    isotropic_indices,
-    pair_joins,
-)
+from .properties import _verdicts, classify, isotropic_indices, pair_joins
 
 PASS, FAIL, VACUOUS = "pass", "fail", "vacuous"
 
@@ -140,7 +129,8 @@ def _cancellation_row(alg: FiniteEffectAlgebra, a: int, row: tuple[int | None, .
 
 
 def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
-    """Evaluate every check on one valid model, reading facts ``classify`` derived."""
+    """Evaluate every check on one valid model, reading the facts ``classify``
+    derived and the verdicts ``profile`` enforces its laws on."""
     order = derive_order(alg)
     cls = classify(alg)
     n = alg.size
@@ -166,25 +156,20 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
 
     results["omp_implies_orthoalgebra"] = _implication(cls.omp, cls.orthoalgebra)
 
-    archimedean = is_archimedean(alg)
-    orthocomplete = is_orthocomplete(alg).ok
-    weakly = is_weakly_orthocomplete(alg).ok
-    atomic = is_atomic(alg)
-    atomistic = is_atomistic(alg)
-    disjunctive = is_disjunctive(alg)
-    orthoatomistic = is_orthoatomistic(alg)
-
-    results["prop_2_6"] = _implication(cls.orthoalgebra, archimedean)
-    results["prop_2_8"] = _implication(orthocomplete, archimedean)
-    results["prop_3_3"] = _implication(orthocomplete or cls.lattice, weakly)
+    v = _verdicts(alg)
+    w = v.witnesses
+    results["prop_2_6"] = _implication(cls.orthoalgebra, v.archimedean)
+    results["prop_2_8"] = _implication(v.orthocomplete, v.archimedean)
+    results["prop_3_3"] = _implication(v.orthocomplete or cls.lattice, v.weakly_orthocomplete)
     results["thm_3_2"] = _biconditional(
-        atomistic.ok, atomic and disjunctive.ok,
-        {"atomistic": atomistic.ok, "atomic": atomic, "disjunctive": disjunctive.ok,
-         "atomistic_witness": atomistic.witness, "disjunctive_witness": disjunctive.witness})
+        v.atomistic, v.atomic and v.disjunctive,
+        {"atomistic": v.atomistic, "atomic": v.atomic, "disjunctive": v.disjunctive,
+         "atomistic_witness": w.get("atomistic"), "disjunctive_witness": w.get("disjunctive")})
     results["thm_3_7_finite"] = _implication(
-        weakly and archimedean and atomic, orthoatomistic.ok, orthoatomistic.witness)
+        v.weakly_orthocomplete and v.archimedean and v.atomic, v.orthoatomistic,
+        w["orthoatomistic"])
     results["orthoatomistic_omp_implies_atomistic"] = _implication(
-        orthoatomistic.ok and cls.omp, atomistic.ok, atomistic.witness)
+        v.orthoatomistic and cls.omp, v.atomistic, w.get("atomistic"))
 
     if cls.orthoalgebra:
         bad = next((a for a in range(1, n) if alg.table[a][a] is not None), None)

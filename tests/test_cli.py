@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import json
 import os
 import random
@@ -300,6 +301,17 @@ class TestHasse:
         code, _, err = run(capsys, "hasse", str(path), "-o", str(tmp_path / "x.dot"))
         assert code == 1 and "not a valid" in err
 
+    def test_invalid_model_past_the_first_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the table passes cmd_hasse's own check, then atoms requires a valid model
+        path = tmp_path / "bad.efa"
+        path.write_text("elements: 3\none: 2\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "validate", lambda alg: ea.ValidationReport(True, ()))
+        out_path = tmp_path / "x.dot"
+        code, out, err = run(capsys, "hasse", str(path), "-o", str(out_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: not an effect algebra (") and err.count("\n") == 1
+        assert "Traceback" not in err and not out_path.exists()
+
     def test_cover_relation_is_transitive_reduction(self, small_corpus):
         for alg in small_corpus:
             covers = set(cover_pairs(alg))
@@ -379,7 +391,7 @@ class TestEnumerateCommand:
                                                             monkeypatch):
         # Every model is orthocomplete, so a false Archimedean verdict fails
         # prop_2_8 everywhere and prop_2_6 on every orthoalgebra.
-        monkeypatch.setattr(theorems, "is_archimedean", lambda alg: False)
+        monkeypatch.setattr(properties, "is_archimedean", lambda alg: False)
         code, out, err = run(capsys, "enumerate", "--max-size", "4", "--verify-theorems",
                              "--out", str(tmp_path))
         assert code == 3
@@ -471,6 +483,88 @@ class TestWitnessCommand:
         code, out, err = run(capsys, "witness", *args)
         assert code == 2 and out == ""
         assert "at least 1" in err and "Traceback" not in err
+
+    @staticmethod
+    def _golden(request, name, fmt):
+        return (request.path.parent / "golden" / f"witness_{name}.{fmt}").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_unverified_defeater_exits_3(self, fmt, capsys, monkeypatch, request):
+        # the third defeater fails its re-check: text keeps the claim line and
+        # the two candidates before it, JSON an empty payload
+        from effalg.symbolic import fincof
+
+        real, calls = fincof.refute_upper_bound_candidate, []
+
+        def refuter(cand):
+            calls.append(cand)
+            ref = real(cand)
+            return dataclasses.replace(ref, verified=False) if len(calls) == 3 else ref
+
+        monkeypatch.setattr(fincof, "refute_upper_bound_candidate", refuter)
+        flags = ["--json"] if fmt == "json" else []
+        code, out, err = run(capsys, "witness", "ex34", "--candidates", "10", *flags)
+        assert code == 3 and len(calls) == 3
+        golden = self._golden(request, "ex34", "txt").splitlines(keepends=True)
+        assert err == f"UNVERIFIED defeater for candidate {calls[2].describe()}\n"
+        assert golden[3].startswith(f"  candidate {calls[2].describe()}: ")
+        if fmt == "txt":
+            assert out == "".join(golden[:3])
+        else:
+            assert out == json.dumps(
+                {"model": {"name": "ex34", "size": None}, "valid": True, "violations": [],
+                 "profile": {}, "witnesses": {"ex34": {}}, "theorems": {}},
+                ensure_ascii=False, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_failed_chain_claim_exits_3(self, fmt, capsys, monkeypatch, request):
+        from effalg.symbolic import extended_chain
+
+        real = extended_chain.not_orthoatomistic_report
+        monkeypatch.setattr(extended_chain, "not_orthoatomistic_report", lambda target, depth:
+                            dataclasses.replace(real(target, depth), no_natural_upper_bound=False))
+        flags = ["--json"] if fmt == "json" else []
+        code, out, err = run(capsys, "witness", "ex38", *flags)
+        assert code == 3
+        assert err == "internal theorem-check failure in the chain report\n"
+        golden = self._golden(request, "ex38", fmt)
+        if fmt == "txt":
+            before = "  no natural is an upper bound: True\n"
+            assert golden.count(before) == 1
+            assert out == golden.replace(before, "  no natural is an upper bound: False\n")
+        else:
+            doc = json.loads(golden)
+            doc["witnesses"]["ex38"]["no_natural_upper_bound"] = False
+            assert out == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["txt", "json"])
+    def test_analysis_with_a_supremum_exits_3(self, fmt, capsys, monkeypatch, request):
+        from effalg.symbolic import balanced
+
+        real = balanced.two_minimal_upper_bounds
+
+        def with_supremum(depth):
+            analysis = real(depth)
+            return dataclasses.replace(analysis, supremum=analysis.minimal_upper_bounds[0],
+                                       weakly_orthocomplete_violated=False)
+
+        monkeypatch.setattr(balanced, "two_minimal_upper_bounds", with_supremum)
+        flags = ["--json"] if fmt == "json" else []
+        code, out, err = run(capsys, "witness", "ex39", *flags)
+        assert code == 3
+        assert err == "internal theorem-check failure in the upper-bound analysis\n"
+        golden = self._golden(request, "ex39", fmt)
+        if fmt == "txt":
+            lines = golden.splitlines(keepends=True)
+            assert lines[-2:] == [
+                "supremum: none\n",
+                "weak orthocompleteness fails: minimal upper bounds exist but the sum does not\n"]
+            assert out == "".join(lines[:-2]) + "supremum: (X∪Y)∖{x0,y0}\n"
+        else:
+            doc = json.loads(golden)
+            doc["witnesses"]["ex39"].update(supremum="(X∪Y)∖{x0,y0}",
+                                            weakly_orthocomplete_violated=False)
+            assert out == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
     def test_unknown_witness_exits_2(self, capsys):
         code, _, _ = run(capsys, "witness", "ex99")

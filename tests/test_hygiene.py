@@ -128,3 +128,41 @@ def test_no_private_parameter_is_always_the_same_constant():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))]
     fixed = _constant_parameters(sources)
     assert not fixed, f"private parameters every call site fills with one constant: {fixed}"
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A NamedTuple subclass, or a class decorated with ``dataclass``."""
+    def name(expr):
+        expr = expr.func if isinstance(expr, ast.Call) else expr
+        return getattr(expr, "id", getattr(expr, "attr", None))
+    return (any(name(base) == "NamedTuple" for base in node.bases)
+            or any(name(d) == "dataclass" for d in node.decorator_list))
+
+
+def _unread_fields(defining: list[str], reading: list[str]) -> list[str]:
+    """Annotated fields of the record classes in ``defining`` that no source
+    in ``reading`` loads as an attribute."""
+    read = {node.attr for source in reading for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{field.target.id}"
+            for source in defining for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) and _is_record(cls)
+            for field in cls.body
+            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+            and field.target.id not in read]
+
+
+def test_unread_field_check_flags_a_field_nobody_reads():
+    source = ("from dataclasses import dataclass\nfrom typing import NamedTuple\n"
+              "@dataclass(frozen=True)\nclass D:\n    kept: int\n    dropped: str\n"
+              "class T(NamedTuple):\n    first: int\n    second: int = 0\n"
+              "class Plain:\n    unread: int\n"
+              "def f(d, t):\n    d.dropped = 1\n    return d.kept + t.first\n")
+    assert _unread_fields([source], [source]) == ["D.dropped", "T.second"]
+
+
+def test_every_record_field_is_read():
+    package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))]
+    tests = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").rglob("*.py"))]
+    unread = _unread_fields(package, package + tests)
+    assert not unread, f"record fields never read as an attribute: {unread}"

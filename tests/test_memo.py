@@ -23,7 +23,8 @@ from effalg.theorems import run_all
 MEMOISED_FACTS = {
     core: ("validate", "derive_order"),
     properties: ("classify", "atoms", "_atom_reach", "_ortho_scan", "isotropic_indices",
-                 "pair_joins", "is_atomistic", "is_orthoatomistic", "is_disjunctive"),
+                 "pair_joins", "is_atomistic", "is_orthoatomistic", "is_orthoatomistic_sets",
+                 "is_disjunctive"),
 }
 
 

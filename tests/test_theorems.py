@@ -183,7 +183,7 @@ class TestRunExhaustive:
 
     def test_every_failing_model_gets_its_own_dump_file(self, tmp_path, monkeypatch):
         # unnamed models used to overwrite one another in theorem_failure_.efa
-        monkeypatch.setattr(theorems, "is_archimedean", lambda alg: False)
+        monkeypatch.setattr(properties, "is_archimedean", lambda alg: False)
         models = [ea.chain(2)._replace(name=""), ea.chain(3)._replace(name=""),
                   ea.boolean_algebra(2)._replace(name="")]
         summary = run_exhaustive(4, models=models, dump_dir=str(tmp_path))
