@@ -31,6 +31,7 @@ an analysed model still pickles, and compares and hashes like a fresh one;
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import wraps
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -157,12 +158,10 @@ class FiniteEffectAlgebra:
         return self.sum_of(a, b) is not None
 
     def defined_pairs(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (a, b, a + b) over defined cells with a <= b, in index order."""
-        for a, row in enumerate(self.table):
-            for b in range(a, self.size):
-                v = row[b]
-                if v is not None:
-                    yield a, b, v
+        """Yield (a, b, a + b) over defined cells with a <= b, in index order:
+        the upper triangle of ``partners``."""
+        return ((a, b, c) for a, row in enumerate(partners(self))
+                for b, c in row[bisect_left(row, (a,)):])
 
     def entries(self) -> dict[tuple[int, int], int]:
         return {(a, b): c for a, b, c in self.defined_pairs()}
@@ -199,6 +198,15 @@ def per_model(fn: Callable[[FiniteEffectAlgebra], Any]) -> Callable[[FiniteEffec
     return memoised
 
 
+@per_model
+def partners(alg: FiniteEffectAlgebra) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The defined cells, the one form in which package code walks them:
+    ``partners(alg)[a]`` holds every (b, a + b) with the sum defined,
+    ascending in b.  ``defined_pairs`` is a view of it."""
+    return tuple(tuple([(b, c) for b, c in enumerate(row) if c is not None])
+                 for row in alg.table)
+
+
 class Violation(NamedTuple):
     axiom: str  # "A1" | "A2" | "A3" | "A4"
     witness: tuple[int, ...]
@@ -220,25 +228,22 @@ def validate(alg: FiniteEffectAlgebra) -> ValidationReport:
     A1 cannot be violated: the model's constructor refuses a table that is
     not symmetric (and conflicting orientations are rejected when a table
     is built or parsed).  Invalid tables produce a report, never an exception.
+    The quantified checks walk ``partners``: instances come in the order of
+    a full triple loop, and only defined cells are touched.
     """
     n = alg.size
     one = alg.one
     rows = alg.table
     lab = alg.label
     violations: list[Violation] = []
-
-    # Partner lists drive the quantified checks: partners[x] holds every
-    # (y, x+y) with the sum defined, ascending in y, so the scans below
-    # visit instances in the same lexicographic order as a full triple
-    # loop while touching only live entries.
-    partners = [[(y, c) for y, c in enumerate(row) if c is not None] for row in rows]
+    pairs = partners(alg)
 
     # A2, strong form, over all ordered triples with a defined hypothesis.
     for x in range(n):
         x_row = rows[x]
-        for y, p in partners[x]:
+        for y, p in pairs[x]:
             y_row = rows[y]
-            for z, q in partners[p]:
+            for z, q in pairs[p]:
                 t = y_row[z]
                 if t is None:
                     violations.append(Violation(
@@ -257,7 +262,7 @@ def validate(alg: FiniteEffectAlgebra) -> ValidationReport:
 
     # A3: exactly one orthosupplement per element.
     for a in range(n):
-        supplements = [y for y, c in partners[a] if c == one]
+        supplements = [y for y, c in pairs[a] if c == one]
         if not supplements:
             violations.append(Violation(
                 "A3", (a,), f"{lab(a)} has no orthosupplement (no x with {lab(a)}⊕x = {lab(one)})"))

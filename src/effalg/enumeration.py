@@ -60,7 +60,7 @@ import itertools
 import operator
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .core import FiniteEffectAlgebra, InvariantViolation, validate
+from .core import FiniteEffectAlgebra, InvariantViolation, partners, validate
 from .properties import PROFILE_FLAGS, profile
 
 ENUMERATION_CAP = 10
@@ -165,8 +165,8 @@ def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[i
     turn.  After label k it reads the relabeled table in linearization
     order, from where its parent stopped, up to the first cell whose code
     is not known yet.  A cell (a, b) with a, b <= k is known when its sum
-    is undefined (255) or labeled.  A row a <= k whose element has no
-    defined sum with an unlabeled element reads 255 to its end, so the
+    is undefined (255) or labeled.  A row a <= k whose element x has no
+    unlabeled partner in ``partners(alg)[x]`` reads 255 to its end, so the
     reading runs on into row a + 1.  The first open cell is bounded below:
     by k + 1 when its sum is unlabeled, and in column k + 1 of row a by the
     least code of x + y over the unlabeled y, where x holds label a and an
@@ -194,8 +194,7 @@ def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[i
     rows = alg.table
     best_pi, inv = _greedy_labeling(rows)
     best = _linearize(alg, best_pi, inv)
-    # partners[x]: (y, x + y) for every y with a defined sum, y != 0
-    partners = [[(y, v) for y, v in enumerate(row) if y and v is not None] for row in rows]
+    pairs = partners(alg)  # pi[0] = 0, so the y = 0 they hold reads as labeled
     # cell (a, b) of the relabeled table sits at best[start[a] + b]
     start = [a * n - a * (a + 1) // 2 for a in range(n)]
     pi = [0] + [-1] * (n - 1)
@@ -218,7 +217,7 @@ def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[i
                 continue
             if b < n:  # label b goes to an element not labeled yet
                 low = 255
-                for y, v in partners[x]:
+                for y, v in pairs[x]:
                     if pi[y] < 0:
                         code = pi[v] if pi[v] >= 0 else k + 1
                         if code < low:

@@ -33,6 +33,7 @@ from .core import (
     _bits,
     _check_element,
     derive_order,
+    partners,
     per_model,
     require_valid,
 )
@@ -362,9 +363,9 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> int:
     of the system sums to some r with s ⊕ r = t, so t is above s.  Then t
     is an upper bound of the partial sums, and one of them, so every upper
     bound is above t: t is the least upper bound, and both verdicts hold on
-    every system.  Checking the n² cells decides both; a cell that fails
-    means the order was not derived from the table, and raises
-    ``InvariantViolation`` naming the triple.
+    every system.  Checking the defined cells of ``partners`` decides both;
+    a cell that fails means the order was not derived from the table, and
+    raises ``InvariantViolation`` naming the triple.
 
     The count returned is the number of systems, the empty one included.
     ``count[t]`` is the number of systems with every value >= m that extend
@@ -376,22 +377,19 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> int:
     """
     up = derive_order(alg).up
     n = alg.size
-    rows = alg.table
     below = [0] * n
-    for a, row in enumerate(rows):
-        for c in row:
-            if c is None:
-                continue
+    for a, row in enumerate(partners(alg)):
+        for b, c in row:
             if not up[a] >> c & 1:
                 raise InvariantViolation(
-                    f"{alg.label(a)} ⊕ {alg.label(row.index(c))} = {alg.label(c)}, but "
+                    f"{alg.label(a)} ⊕ {alg.label(b)} = {alg.label(c)}, but "
                     f"{alg.label(c)} is not above {alg.label(a)} in the derived order")
             below[c] += 1
 
     count = [1] * n
     descending = sorted(range(n), key=below.__getitem__, reverse=True)
     for m in range(n - 1, 0, -1):
-        plus_m = rows[m]  # the table is symmetric: plus_m[t] is t ⊕ m
+        plus_m = alg.table[m]  # the table is symmetric: plus_m[t] is t ⊕ m
         for t in descending:
             s = plus_m[t]
             if s is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .core import FiniteEffectAlgebra, OrderRelation, _bits, derive_order
+from .core import FiniteEffectAlgebra, OrderRelation, _bits, derive_order, partners
 from .enumeration import enumerate_up_to_iso
 from .properties import _verdicts, classify, isotropic_indices, pair_joins
 
@@ -75,13 +75,13 @@ def _cancellation(alg: FiniteEffectAlgebra, order: OrderRelation) -> CheckResult
     """
     up, ominus = order.up, order.ominus
     covers = None if order.index is None else order.index.covers
-    for a, row in enumerate(alg.table):
+    for a, row in enumerate(partners(alg)):
         if covers is not None:
-            image, pre = up[a], ominus[a]
+            image, pre, cells = up[a], ominus[a], alg.table[a]
             # len(pre) distinct cells of the row hold the len(pre) elements
             # of up[a], and no other cell is defined
-            if (len(row) - row.count(None) == len(pre) == image.bit_count()
-                    and all(image >> s & 1 and row[c] == s for s, c in pre.items())
+            if (len(row) == len(pre) == image.bit_count()
+                    and all(image >> s & 1 and cells[c] == s for s, c in pre.items())
                     and _ordered_along_covers(pre, up, covers)):
                 continue
         witness = _cancellation_row(alg, a, row, up)
@@ -101,9 +101,9 @@ def _ordered_along_covers(pre: dict[int, int], up: tuple[int, ...],
     return True
 
 
-def _cancellation_row(alg: FiniteEffectAlgebra, a: int, row: tuple[int | None, ...],
+def _cancellation_row(alg: FiniteEffectAlgebra, a: int, row: tuple[tuple[int, int], ...],
                       up: tuple[int, ...]) -> dict[str, str] | None:
-    """The first failing (b, c) of row a, scanned from the table and ``up``.
+    """The first failing (b, c) of row a, read from ``partners(alg)[a]`` and ``up``.
 
     ``with_sum[s]`` is the mask of the c with a⊕c = s: the map c -> a⊕c is
     not assumed injective, so this also runs on a table that breaks the
@@ -111,13 +111,10 @@ def _cancellation_row(alg: FiniteEffectAlgebra, a: int, row: tuple[int | None, .
     above a⊕b and c not above b.
     """
     with_sum: dict[int, int] = {}
-    for c, ac in enumerate(row):
-        if ac is not None:
-            with_sum[ac] = with_sum.get(ac, 0) | 1 << c
+    for c, ac in row:
+        with_sum[ac] = with_sum.get(ac, 0) | 1 << c
     sums = sum(1 << s for s in with_sum)
-    for b, ab in enumerate(row):
-        if ab is None:
-            continue
+    for b, ab in row:
         failing = 0
         for s in _bits(up[ab] & sums):
             failing |= with_sum[s]

@@ -235,6 +235,11 @@ class TestDerivedOrder:
         # missing, and the domain check speaks before the supplement is read
         (4, 3, {(0, 0): 2, (0, 1): 1, (0, 2): 3, (1, 1): 3, (1, 2): 2},
          "difference domain does not match the order"),
+        # rows 5 and 3 each hold 4 twice; pairs a <= b in index order reach
+        # row 5's conflict at (2, 5) before row 3's at (3, 7), so a build
+        # row by row, which would name 4 ⊖ 3 ∈ {6, 7}, must not be used
+        (8, 7, {(1, 5): 4, (2, 5): 4, (3, 6): 4, (3, 7): 4},
+         "difference not unique: 4 ⊖ 5 ∈ {1, 2}"),
     ])
     def test_fault_messages(self, monkeypatch, size, one, entries, message):
         monkeypatch.setattr(core, "require_valid", lambda alg: None)

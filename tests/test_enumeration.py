@@ -390,6 +390,22 @@ class TestEngineInvariants:
                     assert list(preimage) == back + [len(free)], (n, k, pi)
                     assert list(values) == [*pi, n], (n, k, pi)
 
+    def test_cell_maps_cover_sixteen_elements_and_no_more(self, monkeypatch):
+        # 16 * 16 cells fill one byte; one element of the centralizer is
+        # listed, which swaps the supplement pairs (1, 2) and (3, 4)
+        n = 16
+        sigma = enumeration._canonical_sigma(n, 7)
+        pi = (0, 3, 4, 1, 2, *range(5, n))
+        monkeypatch.setattr(enumeration, "_centralizer_perms", lambda n, sigma: [pi])
+        free = [(a, b) for a in range(1, n - 1) for b in range(a, n - 1) if sigma[a] != b]
+        index = {cell: i for i, cell in enumerate(free)}
+        (image, preimage, values), = enumeration._relabelings(n, sigma, free)
+        assert list(image) == [index[tuple(sorted((pi[a], pi[b])))] for a, b in free]
+        assert list(preimage) == list(image) + [len(free)]  # pi is an involution
+        assert list(values) == [*pi, n]
+        with pytest.raises(ValueError, match="at most 16 elements, not 17"):
+            enumeration._relabelings(17, enumeration._canonical_sigma(17, 7), [])
+
     def test_emitted_models_are_valid_and_iso_free(self):
         for n in range(2, 7):
             models = ea.enumerate_up_to_iso(n)
@@ -457,11 +473,16 @@ class TestEngineInvariants:
                     ea.canonical_form(m) for m in ea.enumerate_up_to_iso(size)}
             assert ea.canonical_form(alg) in forms_by_size[size], alg.name
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(ValueError):
             ea.enumerate_up_to_iso(11)
         with pytest.raises(ValueError):
             ea.enumerate_up_to_iso(1)
+        # the cap itself is enumerated, one order more is refused
+        monkeypatch.setattr(enumeration, "ENUMERATION_CAP", 5)
+        assert len(ea.enumerate_up_to_iso(5)) == KNOWN_COUNTS[5] == 4
+        with pytest.raises(ValueError, match="enumeration cap exceeded"):
+            ea.enumerate_up_to_iso(6)
 
 
 class TestCanonicalForm:

@@ -21,7 +21,7 @@ from effalg.report import build_report
 from effalg.theorems import run_all
 
 MEMOISED_FACTS = {
-    core: ("validate", "derive_order"),
+    core: ("partners", "validate", "derive_order"),
     properties: ("classify", "atoms", "_atom_reach", "_ortho_scan", "isotropic_indices",
                  "pair_joins", "is_atomistic", "is_orthoatomistic", "is_orthoatomistic_sets",
                  "is_disjunctive"),
@@ -119,6 +119,38 @@ def test_one_report_derives_each_fact_once(recipe):
         for name in names:
             body = getattr(module, name).__wrapped__.__code__
             assert counts[body] == 1, name
+
+
+class _CountedRow(tuple):
+    """A table row that tallies how often it is walked or searched."""
+
+    tally: Counter = Counter()
+
+    def __iter__(self):
+        self.tally["iter", id(self)] += 1
+        return super().__iter__()
+
+    def count(self, value):
+        self.tally["count"] += 1
+        return super().count(value)
+
+    def index(self, *args):
+        self.tally["index"] += 1
+        return super().index(*args)
+
+
+@pytest.mark.parametrize("recipe", ["even_subsets:6", "chain:5", "boolean:4",
+                                    "horizontal_sum(boolean:2,chain:3)"])
+def test_one_report_walks_each_row_once(recipe):
+    # every reader of the defined cells reads the memoised partner lists,
+    # which are built by one walk of each row; other reads are lookups
+    model = ea.parse_recipe(recipe)
+    rows = tuple(map(_CountedRow, model.table))
+    counted = ea.FiniteEffectAlgebra(model.size, model.one, rows, model.labels, model.name)
+    tally = _CountedRow.tally
+    tally.clear()
+    build_report(counted)
+    assert tally == Counter({("iter", id(row)): 1 for row in rows})
 
 
 @pytest.mark.parametrize("recipe", ["even_subsets:6", "chain:5", "boolean:4",
