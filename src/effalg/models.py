@@ -12,7 +12,9 @@ Families
 Carrier orderings are fixed so that saved files are byte-stable: subset
 families list subsets in binary-counter order of their characteristic
 masks, chains in numeric order, horizontal sums as [0, left middles,
-right middles, 1].  Every constructor output passes validation.
+right middles, 1].  Every constructor output passes validation.  Builders
+and the loader write rows for the model's constructor, the one check of
+every table; ``from_entries`` is the convenience for a mapping of pairs.
 
 File format (``.efa``): UTF-8 text (one leading byte-order mark is
 skipped), full-line ``#`` comments, exactly one ``elements: n`` and one
@@ -59,14 +61,9 @@ def _subset_family(masks: list[int], k: int, full_as: str | None, name: str
                    ) -> FiniteEffectAlgebra:
     """Subsets of a k-point set in the order of ``masks``; sum = disjoint union."""
     index = {x: i for i, x in enumerate(masks)}
-    entries = {}
-    for i, x in enumerate(masks):
-        for j in range(i, len(masks)):
-            y = masks[j]
-            if x & y == 0:
-                entries[(i, j)] = index[x | y]
-    labels = [_subset_label(x, k, full_as) for x in masks]
-    return FiniteEffectAlgebra.from_entries(len(masks), len(masks) - 1, entries, labels, name)
+    table = tuple(tuple(None if x & y else index[x | y] for y in masks) for x in masks)
+    labels = tuple(_subset_label(x, k, full_as) for x in masks)
+    return FiniteEffectAlgebra(len(masks), len(masks) - 1, table, labels, name)
 
 
 def boolean_algebra(k: int) -> FiniteEffectAlgebra:
@@ -88,9 +85,9 @@ def chain(n: int) -> FiniteEffectAlgebra:
     """The chain {0, ..., n} with addition truncated at n."""
     if not 1 <= n <= CHAIN_MAX:
         raise ValueError(f"chain expects 1 <= n <= {CHAIN_MAX}")
-    entries = {(a, b): a + b for a in range(n + 1) for b in range(a, n + 1) if a + b <= n}
-    labels = [str(i) for i in range(n + 1)]
-    return FiniteEffectAlgebra.from_entries(n + 1, n, entries, labels, f"chain:{n}")
+    table = tuple(tuple(a + b if a + b <= n else None for b in range(n + 1)) for a in range(n + 1))
+    labels = tuple(str(i) for i in range(n + 1))
+    return FiniteEffectAlgebra(n + 1, n, table, labels, f"chain:{n}")
 
 
 def horizontal_sum(left: FiniteEffectAlgebra, right: FiniteEffectAlgebra) -> FiniteEffectAlgebra:
@@ -113,10 +110,10 @@ def horizontal_sum(left: FiniteEffectAlgebra, right: FiniteEffectAlgebra) -> Fin
 
     send_l = mapper(left, 1)
     send_r = mapper(right, left.size - 1)
-    entries: dict[tuple[int, int], int] = {}
+    rows: list[list[int | None]] = [[None] * n for _ in range(n)]
     for send, alg in ((send_l, left), (send_r, right)):
         for a, b, c in alg.defined_pairs():
-            entries[(send[a], send[b])] = send[c]
+            rows[send[a]][send[b]] = rows[send[b]][send[a]] = send[c]
 
     labels = ["0"] + ["_"] * (n - 2) + ["1"]
     for send, alg, tag in ((send_l, left, "A"), (send_r, right, "B")):
@@ -124,7 +121,7 @@ def horizontal_sum(left: FiniteEffectAlgebra, right: FiniteEffectAlgebra) -> Fin
             if pos not in (0, one):
                 labels[pos] = f"{tag}.{alg.label(x)}"
     name = f"horizontal_sum({left.name or '?'},{right.name or '?'})"
-    result = FiniteEffectAlgebra.from_entries(n, one, entries, labels, name)
+    result = FiniteEffectAlgebra(n, one, tuple(map(tuple, rows)), tuple(labels), name)
     require_valid(result)
     return result
 
@@ -286,21 +283,21 @@ def _parse(fh: IO[str], name: str) -> FiniteEffectAlgebra:
         raise EfaParseError("missing 'one' header")
     if not 1 <= one < size:
         fail(f"unit index {one} out of range for {size} elements", one_ln)
+    # a ⊕ 0 = a, unless a sum line says otherwise
+    rows: list[list[int | None]] = [[x] + [None] * (size - 1) for x in range(size)]
+    rows[0] = list(range(size))
     for (a, b), (c, ln) in sums.items():
         if not (0 <= a < size and 0 <= b < size and 0 <= c < size):
             fail(f"sum indices out of range: {a} {b} {c}", ln)
+        rows[a][b] = rows[b][a] = c
     for idx, (_, ln) in labels.items():
         if not 0 <= idx < size:
             fail(f"label index {idx} out of range for {size} elements", ln)
 
-    entries = {pair: c for pair, (c, _) in sums.items()}
-    for x in range(size):
-        entries.setdefault((0, x), x)
-
     label_tuple: tuple[str, ...] = ()
     if labels:
         label_tuple = tuple(labels[i][0] if i in labels else str(i) for i in range(size))
-    return FiniteEffectAlgebra.from_entries(size, one, entries, label_tuple, name)
+    return FiniteEffectAlgebra(size, one, tuple(map(tuple, rows)), label_tuple, name)
 
 
 def _int_field(text: str, what: str, ln: int) -> int:

@@ -214,7 +214,6 @@ def is_atomic(alg: FiniteEffectAlgebra) -> bool:
     return all(order.down[a] & atom_mask for a in range(1, alg.size))
 
 
-@per_model
 def is_atomistic(alg: FiniteEffectAlgebra) -> Decision:
     """Every nonzero element is the supremum of the atoms below it."""
     order = derive_order(alg)
@@ -292,7 +291,6 @@ def atom_decomposition(alg: FiniteEffectAlgebra, a: int) -> tuple[int, ...] | No
     return tuple(sorted(out))
 
 
-@per_model
 def is_orthoatomistic(alg: FiniteEffectAlgebra) -> Decision:
     """Every nonzero element is a sum of an orthogonal multiset of atoms.
 
@@ -305,7 +303,6 @@ def is_orthoatomistic(alg: FiniteEffectAlgebra) -> Decision:
     return Decision(True, {a: atom_decomposition(alg, a) for a in range(1, alg.size)})
 
 
-@per_model
 def is_orthoatomistic_sets(alg: FiniteEffectAlgebra) -> bool:
     """Strict-set variant: decompositions may not repeat an atom.
 
@@ -315,7 +312,6 @@ def is_orthoatomistic_sets(alg: FiniteEffectAlgebra) -> bool:
     return reached == (1 << alg.size) - 1
 
 
-@per_model
 def is_disjunctive(alg: FiniteEffectAlgebra) -> Decision:
     """Whenever a is not below b, some nonzero c <= a meets b only in 0.
 
@@ -442,15 +438,16 @@ PROFILE_FLAGS = PropertyProfile._fields[:-2]
 
 def profile(alg: FiniteEffectAlgebra) -> PropertyProfile:
     """Every decider's verdict, with the cross-property theorems enforced on
-    them: the verdicts are the ones ``theorems.run_all`` checks."""
+    them; ``build_report`` hands this record to ``theorems.check_verdicts``."""
     prof = _verdicts(alg)
     _enforce_profile_invariants(alg, prof)
     return prof
 
 
 def _verdicts(alg: FiniteEffectAlgebra) -> PropertyProfile:
-    """Every decider's verdict, read once, with no law enforced.  Not memoised:
-    a record kept on the model would outlive a decider rebound in this module."""
+    """Every decider's verdict, read once, with no law enforced.  A command
+    gathers it once, so neither it nor the deciders only it calls are
+    memoised; a record kept on the model would outlive a rebound decider."""
     cls = classify(alg)
     archimedean = is_archimedean(alg)
     oc = is_orthocomplete(alg)

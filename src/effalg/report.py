@@ -12,7 +12,7 @@ from typing import Any
 
 from .core import FiniteEffectAlgebra, ValidationReport, validate
 from .properties import PropertyProfile, profile
-from .theorems import CHECK_IDS, TheoremReport, run_all
+from .theorems import CHECK_IDS, TheoremReport, check_verdicts
 
 
 def schema() -> dict:
@@ -76,7 +76,8 @@ def skeleton(name: str, size: int | None) -> dict[str, Any]:
 
 
 def build_report(alg: FiniteEffectAlgebra) -> dict:
-    """The full JSON report for one model (profile only when valid)."""
+    """The full JSON report for one model (profile only when valid).  The
+    theorem checks read the verdict record that ``profile`` returned."""
     validation = validate(alg)
     doc = skeleton(alg.name, alg.size)
     doc["valid"] = validation.valid
@@ -85,7 +86,7 @@ def build_report(alg: FiniteEffectAlgebra) -> dict:
         prof = profile(alg)
         doc["profile"] = _profile_json(alg, prof)
         doc["witnesses"] = {str(k): _witness_json(alg, v) for k, v in prof.witnesses.items()}
-        doc["theorems"] = _theorems_json(alg, run_all(alg))
+        doc["theorems"] = _theorems_json(alg, check_verdicts(alg, prof))
     return doc
 
 

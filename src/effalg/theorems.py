@@ -15,7 +15,7 @@ from typing import Any, Iterable, Mapping, NamedTuple
 
 from .core import FiniteEffectAlgebra, OrderRelation, _bits, derive_order, partners
 from .enumeration import enumerate_up_to_iso
-from .properties import _verdicts, classify, isotropic_indices, pair_joins
+from .properties import PropertyProfile, _verdicts, classify, isotropic_indices, pair_joins
 
 PASS, FAIL, VACUOUS = "pass", "fail", "vacuous"
 
@@ -126,8 +126,14 @@ def _cancellation_row(alg: FiniteEffectAlgebra, a: int, row: tuple[tuple[int, in
 
 
 def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
+    """Evaluate every check on one valid model and its ``_verdicts``."""
+    return check_verdicts(alg, _verdicts(alg))
+
+
+def check_verdicts(alg: FiniteEffectAlgebra, v: PropertyProfile) -> TheoremReport:
     """Evaluate every check on one valid model, reading the facts ``classify``
-    derived and the verdicts ``profile`` enforces its laws on."""
+    derived and ``v``, the record of ``_verdicts`` (``build_report`` passes
+    the one ``profile`` returned, so a report gathers the verdicts once)."""
     order = derive_order(alg)
     cls = classify(alg)
     n = alg.size
@@ -153,7 +159,6 @@ def run_all(alg: FiniteEffectAlgebra) -> TheoremReport:
 
     results["omp_implies_orthoalgebra"] = _implication(cls.omp, cls.orthoalgebra)
 
-    v = _verdicts(alg)
     w = v.witnesses
     results["prop_2_6"] = _implication(cls.orthoalgebra, v.archimedean)
     results["prop_2_8"] = _implication(v.orthocomplete, v.archimedean)

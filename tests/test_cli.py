@@ -145,6 +145,23 @@ class TestExampleAndProps:
         assert code == 2 and "takes one parameter" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("operands, count", [("boolean:2", 1),
+                                                  ("boolean:2,chain:3,chain:2", 3)])
+    def test_horizontal_sum_recipe_needs_two_operands(self, operands, count, tmp_path, capsys):
+        path = tmp_path / "x.efa"
+        code, _, err = run(capsys, "example", f"horizontal_sum({operands})", "-o", str(path))
+        assert code == 2
+        assert err == f"error: horizontal_sum takes exactly two operand recipes, got {count}\n"
+        assert not path.exists()
+
+    def test_main_reads_sys_argv_by_default(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c3.efa"
+        ea.save(ea.chain(3), path)
+        monkeypatch.setattr(sys, "argv", ["effalg", "check", str(path)])
+        assert main() == 0
+        assert capsys.readouterr().out == \
+            f"{path}: valid effect algebra with 4 elements (unit: 3)\n"
+
     def test_example_takes_a_full_recipe(self, tmp_path, capsys):
         path = tmp_path / "b3.efa"
         code, out, _ = run(capsys, "example", "boolean:3", "-o", str(path))
@@ -591,12 +608,12 @@ class TestExitCodeThree:
         import effalg.report as rmod
         from effalg.theorems import CheckResult, TheoremReport, CHECK_IDS as IDS
 
-        def fake_run_all(alg):
+        def fake_check_verdicts(alg, verdicts):
             results = {cid: CheckResult("pass") for cid in IDS}
             results["thm_3_2"] = CheckResult("fail", "fabricated")
             return TheoremReport("fake", results)
 
-        monkeypatch.setattr(rmod, "run_all", fake_run_all)
+        monkeypatch.setattr(rmod, "check_verdicts", fake_check_verdicts)
         path = tmp_path / "c3.efa"
         ea.save(ea.chain(3), path)
         code, _, err = run(capsys, "props", str(path), "--json")

@@ -166,3 +166,29 @@ def test_every_record_field_is_read():
     tests = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").rglob("*.py"))]
     unread = _unread_fields(package, package + tests)
     assert not unread, f"record fields never read as an attribute: {unread}"
+
+
+def _shared_memo_keys(sources: list[str]) -> list[str]:
+    """Names of functions decorated with ``per_model`` more than once across
+    ``sources``: ``per_model`` keys a fact by its function's name, so two
+    such functions would share one memo slot."""
+    names = Counter(
+        fn.name for source in sources for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(getattr(d, "id", getattr(d, "attr", None)) == "per_model"
+                for d in fn.decorator_list))
+    return sorted(name for name, count in names.items() if count > 1)
+
+
+def test_shared_memo_key_check_flags_a_repeated_name():
+    first = ("@per_model\ndef facts(alg):\n    return 1\n"
+             "@per_model\ndef kept(alg):\n    return 2\n")
+    second = ("@core.per_model\ndef facts(alg):\n    return 3\n"
+              "def kept(alg):\n    return 4\n")
+    assert _shared_memo_keys([first, second]) == ["facts"]
+
+
+def test_no_two_memoised_facts_share_a_key():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))]
+    shared = _shared_memo_keys(sources)
+    assert not shared, f"per_model facts that would share one memo slot: {shared}"

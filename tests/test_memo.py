@@ -23,8 +23,7 @@ from effalg.theorems import run_all
 MEMOISED_FACTS = {
     core: ("partners", "validate", "derive_order"),
     properties: ("classify", "atoms", "_atom_reach", "_ortho_scan", "isotropic_indices",
-                 "pair_joins", "is_atomistic", "is_orthoatomistic", "is_orthoatomistic_sets",
-                 "is_disjunctive"),
+                 "pair_joins"),
 }
 
 
@@ -119,6 +118,41 @@ def test_one_report_derives_each_fact_once(recipe):
         for name in names:
             body = getattr(module, name).__wrapped__.__code__
             assert counts[body] == 1, name
+
+
+DECIDERS = ("is_atomistic", "is_orthoatomistic", "is_orthoatomistic_sets", "is_disjunctive")
+
+
+def _memoised_bodies() -> dict:
+    """The body of every ``per_model`` fact of the loaded package, by name."""
+    memoised = core.partners.__code__  # the one wrapper code every fact shares
+    return {fn.__wrapped__.__code__: f"{module.__name__}.{name}"
+            for key, module in list(sys.modules.items())
+            if key == "effalg" or key.startswith("effalg.")
+            for name, fn in vars(module).items() if getattr(fn, "__code__", None) is memoised}
+
+
+@pytest.mark.parametrize("recipe", ["even_subsets:6", "chain:5",
+                                    "horizontal_sum(boolean:2,chain:3)"])
+def test_each_file_command_derives_each_fact_at_most_once(recipe, tmp_path, capsys):
+    # props gathers the verdicts once, for profile and the theorem checks,
+    # and the loader hands its rows to the constructor without from_entries
+    path = str(tmp_path / "model.efa")
+    ea.save(ea.parse_recipe(recipe), path)
+    once = {properties._verdicts.__code__: "_verdicts", **_memoised_bodies(),
+            **{getattr(properties, name).__code__: name for name in DECIDERS}}
+    assert len(once) > 1 + len(DECIDERS)
+    from_entries = core.FiniteEffectAlgebra.from_entries.__code__
+    for argv in (["check", path], ["props", path], ["props", path, "--json"],
+                 ["hasse", path, "-o", str(tmp_path / "model.dot")]):
+        codes = []
+        counts = _calls_during(lambda: codes.append(main(argv)))
+        capsys.readouterr()
+        assert codes == [0], argv
+        assert counts[from_entries] == 0, argv
+        assert counts[properties._verdicts.__code__] == (argv[0] == "props"), argv
+        repeated = {name: counts[code] for code, name in once.items() if counts[code] > 1}
+        assert not repeated, (argv, repeated)
 
 
 class _CountedRow(tuple):

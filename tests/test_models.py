@@ -152,6 +152,27 @@ class TestEfaFormat:
         text = "elements: 3\none: 2\nsum: 1 1 2\nsum: 1 1 2\n"
         assert loads(text).sum_of(1, 1) == 2
 
+    def test_header_last_loads_like_header_first(self):
+        text = dumps(ea.even_subset_omp(4))
+        header = [ln for ln in text.splitlines(keepends=True)
+                  if ln.startswith(("elements:", "one:"))]
+        body = [ln for ln in text.splitlines(keepends=True) if ln not in header]
+        assert len(header) == 2 and any(ln.startswith("label:") for ln in body)
+        first, last = loads(text), loads("".join(body + header))
+        assert last == first and last.labels == first.labels
+
+    def test_sum_line_overrides_the_implicit_zero_sum(self):
+        alg = loads("elements: 3\none: 2\nsum: 1 0 2\n")
+        assert alg.table[1][0] == alg.table[0][1] == 2
+        assert [alg.sum_of(0, x) for x in (0, 2)] == [0, 2]
+        assert loads("elements: 3\none: 2\nsum: 0 0 1\n").sum_of(0, 0) == 1
+
+    def test_conflict_names_the_last_agreeing_line(self):
+        text = "elements: 5\none: 4\nsum: 1 2 3\n# note\nsum: 2 1 3\nsum: 1 2 3\nsum: 2 1 4\n"
+        with pytest.raises(EfaParseError) as err:
+            loads(text)
+        assert str(err.value) == "line 7: conflicting sum for pair (1,2): 3 (line 6) vs 4"
+
     def test_missing_one_header(self):
         with pytest.raises(EfaParseError, match="missing 'one'"):
             loads("elements: 3\nsum: 1 1 2\n")

@@ -680,8 +680,9 @@ class TestResultRecords:
         ea.run_all(even6)
         copy = pickle.loads(pickle.dumps(even6))
         assert copy == even6
-        records = {k: v for k, v in even6._memo.items() if isinstance(v, RECORDS)}
-        assert {"validate", "classify", "is_orthoatomistic"} <= set(records)
+        records = {k: v for k, v in even6._memo.items()
+                   if isinstance(v, RECORDS + (ea.OrderRelation,))}
+        assert {"validate", "classify", "derive_order"} <= set(records)
         for key, value in records.items():
             assert type(copy._memo[key]) is type(value) and copy._memo[key] == value
 

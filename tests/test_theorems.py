@@ -52,6 +52,26 @@ class TestRunAll:
         assert rep.results["omp_iff_principal_iff_join"].status == PASS
         assert rep.all_pass
 
+    def test_sup_le_oplus_names_the_first_failing_pair(self, monkeypatch):
+        # a fake join, the unit, for every pair with a nonzero first element:
+        # every such pair with a sum below the unit fails, and the witness is
+        # the first of them in defined_pairs order
+        alg = ea.chain(5)
+        pairs = list(alg.defined_pairs())
+        monkeypatch.setattr(theorems, "pair_joins",
+                            lambda m: tuple(m.one if a else None for a, _, _ in pairs))
+        failing = [(a, b, c) for a, b, c in pairs if a and c != alg.one]
+        assert len(failing) > 2
+        a, b, c = failing[0]
+        assert run_all(alg).results["sup_le_oplus"] == CheckResult(
+            FAIL, {"a": str(a), "b": str(b), "sup": "5", "oplus": str(c)})
+
+    def test_thm_3_7_is_vacuous_without_atomicity(self, monkeypatch):
+        # the other two hypotheses hold on every finite model
+        monkeypatch.setattr(properties, "is_atomic", lambda alg: False)
+        for alg in (ea.chain(5), ea.boolean_algebra(3)):
+            assert run_all(alg).results["thm_3_7_finite"] == CheckResult(VACUOUS)
+
     def test_check_id_catalog(self, boolean3):
         rep = run_all(boolean3)
         assert tuple(rep.results) == CHECK_IDS
