@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import wraps
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -160,8 +161,8 @@ class FiniteEffectAlgebra:
     def defined_pairs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (a, b, a + b) over defined cells with a <= b, in index order:
         the upper triangle of ``partners``."""
-        return ((a, b, c) for a, row in enumerate(partners(self))
-                for b, c in row[bisect_left(row, (a,)):])
+        return ((a, b, c) for a, (cols, sums) in enumerate(partners(self))
+                for b, c in islice(zip(cols, sums), bisect_left(cols, a), None))
 
     def entries(self) -> dict[tuple[int, int], int]:
         return {(a, b): c for a, b, c in self.defined_pairs()}
@@ -199,12 +200,17 @@ def per_model(fn: Callable[[FiniteEffectAlgebra], Any]) -> Callable[[FiniteEffec
 
 
 @per_model
-def partners(alg: FiniteEffectAlgebra) -> tuple[tuple[tuple[int, int], ...], ...]:
+def partners(alg: FiniteEffectAlgebra) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The defined cells, the one form in which package code walks them:
-    ``partners(alg)[a]`` holds every (b, a + b) with the sum defined,
-    ascending in b.  ``defined_pairs`` is a view of it."""
-    return tuple(tuple([(b, c) for b, c in enumerate(row) if c is not None])
-                 for row in alg.table)
+    ``partners(alg)[a]`` is two flat tuples, every b with a + b defined,
+    ascending, and those sums in the same order; ``zip`` pairs them.
+    ``defined_pairs`` is a view of it."""
+    elements = tuple(range(alg.size))  # one int object per column, shared by the rows
+    rows = []
+    for row in alg.table:
+        cols = [b for b, c in zip(elements, row) if c is not None]
+        rows.append((tuple(cols), tuple([row[b] for b in cols])))
+    return tuple(rows)
 
 
 class Violation(NamedTuple):
@@ -241,9 +247,9 @@ def validate(alg: FiniteEffectAlgebra) -> ValidationReport:
     # A2, strong form, over all ordered triples with a defined hypothesis.
     for x in range(n):
         x_row = rows[x]
-        for y, p in pairs[x]:
-            y_row = rows[y]
-            for z, q in pairs[p]:
+        for y, p in zip(*pairs[x]):
+            y_row, p_row = rows[y], rows[p]
+            for z in pairs[p][0]:  # (x⊕y)⊕z = p_row[z] is defined
                 t = y_row[z]
                 if t is None:
                     violations.append(Violation(
@@ -255,14 +261,14 @@ def validate(alg: FiniteEffectAlgebra) -> ValidationReport:
                     violations.append(Violation(
                         "A2", (x, y, z),
                         f"({lab(x)}⊕{lab(y)})⊕{lab(z)} is defined but {lab(x)}⊕({lab(y)}⊕{lab(z)}) is not"))
-                elif r != q:
+                elif r != p_row[z]:
                     violations.append(Violation(
                         "A2", (x, y, z),
-                        f"({lab(x)}⊕{lab(y)})⊕{lab(z)} = {lab(q)} but {lab(x)}⊕({lab(y)}⊕{lab(z)}) = {lab(r)}"))
+                        f"({lab(x)}⊕{lab(y)})⊕{lab(z)} = {lab(p_row[z])} but {lab(x)}⊕({lab(y)}⊕{lab(z)}) = {lab(r)}"))
 
     # A3: exactly one orthosupplement per element.
     for a in range(n):
-        supplements = [y for y, c in pairs[a] if c == one]
+        supplements = [y for y, c in zip(*pairs[a]) if c == one]
         if not supplements:
             violations.append(Violation(
                 "A3", (a,), f"{lab(a)} has no orthosupplement (no x with {lab(a)}⊕x = {lab(one)})"))

@@ -217,7 +217,7 @@ def canonicalize(alg: FiniteEffectAlgebra, *, automorphisms: Sequence[Sequence[i
                 continue
             if b < n:  # label b goes to an element not labeled yet
                 low = 255
-                for y, v in pairs[x]:
+                for y, v in zip(*pairs[x]):
                     if pi[y] < 0:
                         code = pi[v] if pi[v] >= 0 else k + 1
                         if code < low:
@@ -267,9 +267,9 @@ def canonical_form(alg: FiniteEffectAlgebra) -> bytes:
 
     It is meant for enumerated orders.  The cost grows with the automorphism
     group, which the search does not prune: ``boolean:4`` (16 elements)
-    takes about 0.4 s (89,619 search nodes, all 24 least labelings
-    reached), and ``even_subsets:6`` (32 elements) about 44 s, in CPU time
-    on one core of a 2-vCPU VM.
+    takes 0.2–0.4 s (89,619 search nodes, all 24 least labelings
+    reached), and ``even_subsets:6`` (32 elements) 32–39 s, in CPU time
+    on one core of a 2-vCPU VM whose speed varies from run to run.
     """
     return canonicalize(alg)[0]
 

@@ -12,9 +12,12 @@ Conventions adopted here:
 
 * "sum of atoms" means the sum of an orthogonal *multiset* of atoms
   (repetitions allowed), which is what makes chains orthoatomistic via
-  n = 1 + 1 + ... + 1.  The stricter reading with pairwise-distinct atoms
-  is decided separately (``is_orthoatomistic_sets``) and reported as a
-  supplementary flag so the distinction stays observable.
+  n = 1 + 1 + ... + 1; it is decided by a breadth-first search over
+  elements that adds one atom at a time (``_atom_reach``).  The stricter
+  reading with pairwise-distinct atoms is decided separately
+  (``is_orthoatomistic_sets``), by one pass over the atoms that adds each
+  to the subset sums found before it, and reported as a supplementary
+  flag so the distinction stays observable.
 * "c ∧ b = 0" in the disjunctivity test means: 0 is the only common lower
   bound of c and b (then the infimum exists and is 0).
 * A "minimal upper bound" of an orthogonal system means a minimal element
@@ -231,62 +234,40 @@ def is_atomistic(alg: FiniteEffectAlgebra) -> Decision:
     return Decision(True)
 
 
-State = tuple[int, int]  # (partial sum, index of the first atom it may still add)
-
-
-def _atom_closure(alg: FiniteEffectAlgebra, repeat: bool) -> tuple[int, dict[State, tuple[State, int]]]:
-    """Breadth-first closure of the state (0, 0) under adding one atom.
-
-    A state is a partial sum x and the index i of the first atom it may
-    still add.  With ``repeat`` every atom stays available and i is always
-    0; without it i is one past the last atom added, so no atom repeats.
-    Returns the bitmask of partial sums reached and a parent link (state,
-    atom added) for every state but the root.  A defined total forces
-    every sub-sum to be defined, so growing one atom at a time loses no
-    decomposition.
-    """
-    ats = atoms(alg)
-    rows = alg.table
-    parent: dict[State, tuple[State, int]] = {}
-    reached = 1  # {0}
-    frontier: list[State] = [(0, 0)]
-    while frontier:
-        nxt: list[State] = []
-        for state in frontier:
-            x, i = state
-            row = rows[x]
-            for j in range(i, len(ats)):
-                s = row[ats[j]]
-                new = (s, 0 if repeat else j + 1)
-                # s is None where undefined; 0 is the root's sum alone
-                if s and new not in parent:
-                    reached |= 1 << s
-                    parent[new] = (state, ats[j])
-                    nxt.append(new)
-        frontier = nxt
-    return reached, parent
-
-
 @per_model
-def _atom_reach(alg: FiniteEffectAlgebra) -> tuple[int, dict[State, tuple[State, int]]]:
-    """The closure with repeated atoms: every state is (x, 0).
-
-    An element is a sum of an orthogonal multiset of atoms exactly when it
-    is reached.
+def _atom_reach(alg: FiniteEffectAlgebra) -> tuple[int, tuple[tuple[int, int] | None, ...]]:
+    """The sums of orthogonal multisets of atoms, by breadth-first search
+    from 0 adding one atom at a time: the bitmask of elements reached, and
+    for each reached nonzero element the (sum, atom) it was first reached
+    from.  A defined total forces every sub-sum to be defined, so growing
+    one atom at a time loses no decomposition.
     """
-    return _atom_closure(alg, repeat=True)
+    rows = alg.table
+    ats = atoms(alg)
+    link: list[tuple[int, int] | None] = [None] * alg.size
+    reached = 1  # {0}
+    queue = [0]
+    for x in queue:  # the queue grows as it is read: breadth first
+        row = rows[x]
+        for t in ats:
+            s = row[t]
+            if s is not None and not reached >> s & 1:
+                reached |= 1 << s
+                link[s] = (x, t)
+                queue.append(s)
+    return reached, tuple(link)
 
 
 def atom_decomposition(alg: FiniteEffectAlgebra, a: int) -> tuple[int, ...] | None:
-    """A multiset of atoms summing to a (sorted), or ``None`` if unreachable."""
+    """A multiset of atoms summing to a (sorted), or ``None`` if unreachable:
+    the atoms on ``_atom_reach``'s first links from a back to 0."""
     _check_element(a, alg.size)
-    reached, parent = _atom_reach(alg)
+    reached, link = _atom_reach(alg)
     if not reached >> a & 1:
         return None
     out: list[int] = []
-    state = (a, 0)
-    while state in parent:
-        state, t = parent[state]
+    while a:
+        a, t = link[a]
         out.append(t)
     return tuple(sorted(out))
 
@@ -306,10 +287,18 @@ def is_orthoatomistic(alg: FiniteEffectAlgebra) -> Decision:
 def is_orthoatomistic_sets(alg: FiniteEffectAlgebra) -> bool:
     """Strict-set variant: decompositions may not repeat an atom.
 
-    Supplementary flag only; the headline decider is ``is_orthoatomistic``.
+    The bitmask of subset sums grows one atom at a time, each atom added
+    only to the sums reached before its turn.  Supplementary flag only;
+    the headline decider is ``is_orthoatomistic``.
     """
-    reached, _ = _atom_closure(alg, repeat=False)
-    return reached == (1 << alg.size) - 1
+    rows = alg.table
+    sums = 1  # {0}, the sum of no atoms
+    for t in atoms(alg):
+        plus_t = rows[t]  # the table is symmetric: plus_t[x] is x ⊕ t
+        for x in _bits(sums):  # the sums before t's turn: ints do not change
+            if plus_t[x] is not None:
+                sums |= 1 << plus_t[x]
+    return sums == (1 << alg.size) - 1
 
 
 def is_disjunctive(alg: FiniteEffectAlgebra) -> Decision:
@@ -375,7 +364,7 @@ def _ortho_scan(alg: FiniteEffectAlgebra) -> int:
     n = alg.size
     below = [0] * n
     for a, row in enumerate(partners(alg)):
-        for b, c in row:
+        for b, c in zip(*row):
             if not up[a] >> c & 1:
                 raise InvariantViolation(
                     f"{alg.label(a)} ⊕ {alg.label(b)} = {alg.label(c)}, but "

@@ -80,7 +80,7 @@ def _cancellation(alg: FiniteEffectAlgebra, order: OrderRelation) -> CheckResult
             image, pre, cells = up[a], ominus[a], alg.table[a]
             # len(pre) distinct cells of the row hold the len(pre) elements
             # of up[a], and no other cell is defined
-            if (len(row) == len(pre) == image.bit_count()
+            if (len(row[0]) == len(pre) == image.bit_count()
                     and all(image >> s & 1 and cells[c] == s for s, c in pre.items())
                     and _ordered_along_covers(pre, up, covers)):
                 continue
@@ -101,7 +101,8 @@ def _ordered_along_covers(pre: dict[int, int], up: tuple[int, ...],
     return True
 
 
-def _cancellation_row(alg: FiniteEffectAlgebra, a: int, row: tuple[tuple[int, int], ...],
+def _cancellation_row(alg: FiniteEffectAlgebra, a: int,
+                      row: tuple[tuple[int, ...], tuple[int, ...]],
                       up: tuple[int, ...]) -> dict[str, str] | None:
     """The first failing (b, c) of row a, read from ``partners(alg)[a]`` and ``up``.
 
@@ -111,10 +112,10 @@ def _cancellation_row(alg: FiniteEffectAlgebra, a: int, row: tuple[tuple[int, in
     above a⊕b and c not above b.
     """
     with_sum: dict[int, int] = {}
-    for c, ac in row:
+    for c, ac in zip(*row):
         with_sum[ac] = with_sum.get(ac, 0) | 1 << c
     sums = sum(1 << s for s in with_sum)
-    for b, ab in row:
+    for b, ab in zip(*row):
         failing = 0
         for s in _bits(up[ab] & sums):
             failing |= with_sum[s]

@@ -72,6 +72,48 @@ def _plain_ortho_scan(alg, order):
     return oc, woc, count
 
 
+def _plain_atom_closure(alg, repeat):
+    """Breadth-first closure of the state (0, 0) under adding one atom.
+
+    A state is a partial sum x and the index i of the first atom it may
+    still add.  With ``repeat`` every atom stays available and i is always
+    0; without it i is one past the last atom added, so no atom repeats.
+    Returns the bitmask of partial sums reached and a parent link (state,
+    atom added) for every state but the root.
+
+    The reference ``_atom_reach``, ``atom_decomposition`` and both
+    orthoatomistic verdicts must agree with.
+    """
+    ats = ea.atoms(alg)
+    parent = {}
+    reached = 1  # {0}
+    frontier = [(0, 0)]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            x, i = state
+            for j in range(i, len(ats)):
+                s = alg.sum_of(x, ats[j])
+                new = (s, 0 if repeat else j + 1)
+                # s is None where undefined; 0 is the root's sum alone
+                if s and new not in parent:
+                    reached |= 1 << s
+                    parent[new] = (state, ats[j])
+                    nxt.append(new)
+        frontier = nxt
+    return reached, parent
+
+
+def _plain_decomposition(parent, a):
+    """The sorted atoms on the parent links from the state (a, 0) to the root."""
+    out = []
+    state = (a, 0)
+    while state in parent:
+        state, t = parent[state]
+        out.append(t)
+    return tuple(sorted(out))
+
+
 def _assert_rejects(alg, order):
     """``_ortho_scan`` raises ``InvariantViolation`` naming a defined cell
     a ⊕ b = c with c outside ``order.up[a]``; returns (a, b, c)."""
@@ -433,6 +475,41 @@ class TestOrthoatomistic:
                 if parts is not None:
                     assert list(parts) == sorted(parts) and set(parts) <= ats, (alg.name, a)
                     assert ea.oplus_multiset(alg, parts) == a, (alg.name, a)
+
+    def test_passes_match_the_state_graph(self, atom_corpus):
+        for alg in atom_corpus + [ea.even_subset_omp(10), ea.boolean_algebra(6)]:
+            full = (1 << alg.size) - 1
+            multi, parent = _plain_atom_closure(alg, repeat=True)
+            sets, _ = _plain_atom_closure(alg, repeat=False)
+            assert properties._atom_reach(alg)[0] == multi, alg.name
+            assert ea.is_orthoatomistic(alg).ok == (multi == full), alg.name
+            assert ea.is_orthoatomistic_sets(alg) == (sets == full), alg.name
+            assert [ea.atom_decomposition(alg, a) for a in range(alg.size)] == [
+                _plain_decomposition(parent, a) if multi >> a & 1 else None
+                for a in range(alg.size)], alg.name
+
+    def test_orthoalgebras_decompose_without_repeating_an_atom(self):
+        # the opening's statement on the decompositions themselves: a ⊕ a
+        # is defined only for a = 0 in an orthoalgebra
+        recipes = [*(ea.boolean_algebra(k) for k in range(1, 7)),
+                   *(ea.even_subset_omp(m) for m in range(2, 9, 2))]
+        small = [alg for alg in recipes if alg.size <= 16]
+        models = [*(m for n in range(2, 10) for m in ea.enumerate_up_to_iso(n)
+                    if ea.classify(m).orthoalgebra),
+                  *recipes,
+                  *(ea.horizontal_sum(a, b) for i, a in enumerate(small) for b in small[i:])]
+        for alg in models:
+            assert ea.classify(alg).orthoalgebra, alg.name
+            for a in range(1, alg.size):
+                parts = ea.atom_decomposition(alg, a)
+                assert len(set(parts)) == len(parts), (alg.name, a, parts)
+
+    def test_chains_need_a_repeated_atom(self):
+        for k in range(2, 10):
+            chain = ea.chain(k)
+            assert not ea.classify(chain).orthoalgebra
+            assert not ea.is_orthoatomistic_sets(chain), k
+            assert ea.atom_decomposition(chain, 2) == (1, 1), k
 
 
 class TestDisjunctive:
