@@ -12,6 +12,8 @@ fall back to the argparse parser that ``_build_parser`` builds from it.
 
 from __future__ import annotations
 
+import atexit
+import os
 import random
 import sys
 from pathlib import Path
@@ -133,8 +135,26 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def console_main() -> None:  # pragma: no cover - setuptools entry point
-    sys.exit(main())
+def console_main() -> None:
+    """Entry point of ``effalg`` and ``python -m effalg``.  It ends as the
+    interpreter would (exit handlers, a flush of stdout and stderr, code 120 if
+    that fails) without the module teardown, 6-9 ms of CPU.  Under a trace or
+    profile function, a ``sys.monitoring`` tool or ``-i`` it calls ``sys.exit``."""
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's hook from 3.12
+    if sys.gettrace() or sys.getprofile() or sys.flags.inspect or (
+            monitoring and any(map(monitoring.get_tool, range(6)))):
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if not getattr(stream, "closed", True):  # None or closed: nothing to flush
+                stream.flush()
+        except Exception as exc:  # any failure, as at the interpreter's own exit
+            code = 120
+            if stream is sys.stdout:  # the interpreter's report of a lost stdout
+                print(f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}", file=sys.stderr)
+    os._exit(code)
 
 
 # ---------------------------------------------------------------------------

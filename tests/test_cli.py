@@ -868,3 +868,112 @@ class TestImportContract:
     def test_help_still_goes_through_argparse(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0 and out.startswith("usage: effalg")
+
+
+def _child_env() -> dict:
+    """The caller's environment without any ``PYTHON*`` variable (so stdout is
+    block-buffered and utf-8 whatever the caller set), importing from src/."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(ea.__file__).resolve().parents[1])
+    return env
+
+
+def _child(*args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=_child_env(), stdin=subprocess.DEVNULL,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+class TestExitContract:
+    """``console_main`` runs the exit handlers, flushes stdout and stderr and
+    ends with ``os._exit``; each test runs it in a child, since calling it here
+    would end the test session."""
+
+    @pytest.fixture
+    def models_dir(self, tmp_path):
+        ea.save(ea.boolean_algebra(3), tmp_path / "b3.efa")
+        (tmp_path / "bad.efa").write_text("elements: 3\none: 2\n", encoding="utf-8")
+        return tmp_path
+
+    CASES = [
+        (("props", "{dir}/b3.efa"), 0),
+        (("props", "{dir}/b3.efa", "--json"), 0),
+        (("props", "{dir}/bad.efa"), 1),
+        (("search", "--require", "lattice", "--forbid", "orthocomplete", "--max-size", "5"), 1),
+        (("check", "{dir}/missing.efa"), 2),
+        (("bogus",), 2),
+    ]
+
+    @pytest.mark.parametrize("argv, code", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+    def test_same_bytes_and_code_as_main_in_process(self, argv, code, models_dir, capsys):
+        argv = [a.format(dir=models_dir) for a in argv]
+        expected = run(capsys, *argv)
+        assert expected[0] == code
+        proc = _child("-m", "effalg", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) \
+            == (code, expected[1].encode(), expected[2].encode())
+
+    def test_invariant_violation_exits_3(self, models_dir, capsys, monkeypatch):
+        # boolean:3 is atomistic, so a false atomic verdict breaks a profile law
+        monkeypatch.setattr(properties, "is_atomic", lambda alg: False)
+        expected = run(capsys, "props", str(models_dir / "b3.efa"))
+        assert expected[0] == 3 and "internal theorem-check failure" in expected[2]
+        probe = ("from effalg import properties; from effalg.cli import console_main; "
+                 "properties.is_atomic = lambda alg: False; console_main()")
+        proc = _child("-c", probe, "props", str(models_dir / "b3.efa"))
+        assert (proc.returncode, proc.stdout, proc.stderr) \
+            == (3, expected[1].encode(), expected[2].encode())
+
+    def test_exit_handlers_run_after_the_output(self, models_dir, capsys):
+        path = str(models_dir / "b3.efa")
+        _, out, _ = run(capsys, "props", path, "--json")
+        probe = ("import atexit; from effalg.cli import console_main; "
+                 "atexit.register(print, 'exit handler ran'); console_main()")
+        proc = _child("-c", probe, "props", path, "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (out + "exit handler ran\n").encode()
+
+    @pytest.mark.parametrize("flags, setup, normal_exit", [
+        ((), "", False),
+        ((), "sys.settrace(lambda *a: None)", True),
+        ((), "sys.setprofile(lambda *a: None)", True),
+        ((), "import types; sys.monitoring = types.SimpleNamespace("
+             "get_tool=lambda i: 'cProfile' if i == 2 else None)", True),
+        (("-i",), "", True),
+    ], ids=["plain", "trace", "profile", "monitoring", "inspect"])
+    def test_tracers_profilers_and_inspect_exit_through_sys_exit(self, flags, setup,
+                                                                  normal_exit, models_dir):
+        probe = (f"import sys\n{setup}\nfrom effalg.cli import console_main\n"
+                 "try:\n    console_main()\nexcept SystemExit as exc:\n"
+                 "    print('sys.exit', exc.code)\n")
+        proc = _child(*flags, "-c", probe, "check", str(models_dir / "b3.efa"))
+        lines = proc.stdout.decode().splitlines()
+        assert "valid effect algebra" in lines[0]
+        assert ("sys.exit 0" in lines) == normal_exit
+        if not normal_exit:
+            assert proc.returncode == 0 and len(lines) == 1
+
+    def test_cprofile_still_prints_its_stats(self, models_dir):
+        proc = _child("-m", "cProfile", "-m", "effalg", "props", str(models_dir / "b3.efa"))
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.decode()
+        assert out.startswith("model: ") and "function calls" in out
+
+    # recorded from the interpreter's own exit, before console_main skipped it
+    @pytest.mark.parametrize("maker, code, err", [
+        # the report (5,867 bytes) is still buffered when stdout is flushed at exit
+        (lambda: ea.boolean_algebra(6), 120,
+         b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+         b"encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"),
+        # the report (9,912 bytes) overflows the buffer, so print fails in the command
+        (lambda: ea.even_subset_omp(8), 2, b"error: [Errno 32] Broken pipe\n"),
+    ], ids=["boolean:6", "even_subsets:8"])
+    def test_closed_stdout_keeps_the_interpreters_answer(self, maker, code, err, tmp_path):
+        path = tmp_path / "m.efa"
+        ea.save(maker(), path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _child("-m", "effalg", "props", str(path), "--json", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, err)
